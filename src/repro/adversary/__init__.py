@@ -5,22 +5,16 @@ Up to ``t`` replicas run the genuine protocol stack behind an
 :class:`Strategy` — equivocation, share corruption and withholding,
 justified double votes, replay, certificate forgery, selective silence —
 while a :class:`LivenessWatchdog` turns stalls into typed
-:class:`LivenessViolation` errors with protocol-state dumps.  The
-harness composes both with the schedule-exploration chaos fabric and
-reports every failure as a replayable ``ADV-REPRO`` line.
+:class:`LivenessViolation` errors with protocol-state dumps.  The shared
+case core (:mod:`repro.testing.case`) composes both with the
+schedule-exploration chaos fabric and reports every failure as a
+replayable ``ADV-REPRO`` line; ``python -m repro.adversary`` is its CLI.
 
 See ``docs/ADVERSARY.md`` for the strategy catalog, the watchdog
 contract, and the replay workflow.
 """
 
-from repro.adversary.context import AdversarialContext
-from repro.adversary.harness import (
-    AdversaryResult,
-    campaign,
-    report_failures,
-    run_adversary_case,
-    shrink_adversary_case,
-)
+from repro.adversary.context import AdversarialContext, infect
 from repro.adversary.strategies import STRATEGIES, Strategy, make_strategy
 from repro.adversary.watchdog import (
     LivenessViolation,
@@ -31,16 +25,12 @@ from repro.adversary.watchdog import (
 
 __all__ = [
     "AdversarialContext",
-    "AdversaryResult",
     "LivenessViolation",
     "LivenessWatchdog",
     "ProgressSentinel",
     "STRATEGIES",
     "Strategy",
-    "campaign",
+    "infect",
     "make_strategy",
-    "report_failures",
-    "run_adversary_case",
     "sentinel_for",
-    "shrink_adversary_case",
 ]

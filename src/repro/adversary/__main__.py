@@ -2,7 +2,7 @@
 
 import sys
 
-from repro.adversary.harness import main
+from repro.testing.case import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("adv"))

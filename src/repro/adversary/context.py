@@ -22,8 +22,10 @@ equivocating votes.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, List, Sequence
 
+from repro.adversary.strategies import Strategy, make_strategy
+from repro.common import rng as rng_mod
 from repro.core.protocol import Context, Timer
 
 
@@ -82,3 +84,27 @@ class AdversarialContext(Context):
 
     def set_timer(self, delay: float, fn: Callable[[], None]) -> Timer:
         return self.inner.set_timer(delay, fn)
+
+
+def infect(
+    runtime: Any, strategy_name: str, case_seed: int, parties: Sequence[int]
+) -> List[Strategy]:
+    """Run each of ``parties`` behind its own seeded ``strategy_name``.
+
+    Wraps the parties' contexts in :class:`AdversarialContext` and taps
+    their routers so each strategy sees its full inbound view.  Call it
+    before any protocol instance is built, so the whole stack of every
+    intruded replica runs behind the strategy.  Returns the strategies,
+    whose ``actions`` count what they did.
+    """
+    colluders = frozenset(parties)
+    strategies: List[Strategy] = []
+    for i in parties:
+        strategy = make_strategy(
+            strategy_name, rng_mod.derive(case_seed, "strategy", i)
+        )
+        strategy.adversaries = colluders
+        runtime.contexts[i] = AdversarialContext(runtime.contexts[i], strategy)
+        runtime.routers[i].observers.append(strategy.observe)
+        strategies.append(strategy)
+    return strategies

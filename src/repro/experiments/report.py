@@ -12,6 +12,7 @@ import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import export as obs_export
+from repro.obs import report as obs_report
 
 #: Table 1 of the paper: average delivery times in seconds.
 PAPER_TABLE1 = {
@@ -36,20 +37,8 @@ TABLE1_SETUPS = ("LAN", "Internet", "LAN+I'net")
 def format_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
 ) -> str:
-    """Monospace table with right-aligned numeric columns."""
-    str_rows = [[_fmt(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+    """:func:`repro.obs.report.format_table` with floats to two places."""
+    return obs_report.format_table(headers, rows, title=title, fmt=_fmt)
 
 
 def _fmt(value: object) -> str:

@@ -39,8 +39,6 @@ from repro.heal.planner import (
 )
 from repro.heal.scenario import (
     CounterMachine,
-    HealResult,
-    heal_group,
     run_heal_case,
     stale_share_rejected,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "OrchestratorConfig",
     "ServiceFactory",
     "CounterMachine",
-    "HealResult",
-    "heal_group",
     "run_heal_case",
     "stale_share_rejected",
 ]

@@ -18,25 +18,23 @@ One seeded, deterministic end-to-end scenario composing the whole stack:
    rotation made them cryptographically stale (checked directly against
    the new epoch's verifier).
 
-Failures print a one-line ``HEAL-REPRO:`` replay command, mirroring the
-adversary harness's ADV-REPRO convention.
+The case runs through the shared core (:mod:`repro.testing.case`), so a
+failure prints a one-line ``HEAL-REPRO:`` replay command like the fuzz
+and adversary harnesses' FUZZ-REPRO and ADV-REPRO lines.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
-from repro.adversary.context import AdversarialContext
-from repro.app.replication import StateMachine
-from repro.adversary.strategies import make_strategy
+from repro.adversary.context import AdversarialContext, infect
 from repro.adversary.watchdog import LivenessWatchdog
+from repro.app.replication import StateMachine
 from repro.common import rng as rng_mod
 from repro.common.errors import ReproError
 from repro.core.party import make_parties
-from repro.crypto import params as params_mod
-from repro.crypto.dealer import GroupConfig, fast_group
+from repro.crypto.dealer import GroupConfig
 from repro.heal.evidence import EquivocationMonitor, SuspicionScorer
 from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
@@ -45,6 +43,8 @@ from repro.membership.service import ReconfigurableService
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
 from repro.obs.recorder import Recorder
+from repro.testing.case import Case, Result
+from repro.testing.schedule import default_group
 
 
 class CounterMachine(StateMachine):
@@ -74,63 +74,6 @@ class CounterMachine(StateMachine):
         self.applied = int(applied or b"0")
 
 
-@dataclass
-class HealResult:
-    """Outcome of one closed-loop heal case; everything needed to replay."""
-
-    ok: bool
-    strategy: str
-    n: int
-    t: int
-    case_seed: int
-    victim: int
-    #: the orchestrator detected the victim (its score crossed threshold)
-    detected: bool = False
-    #: the victim's slot was drained and a successor onboarded
-    replaced: bool = False
-    #: all live replicas ended on one identical state digest
-    digests_agree: bool = False
-    #: the victim's pre-refresh share was rejected by the new epoch
-    stale_share_rejected: bool = False
-    final_epoch: int = 0
-    final_value: Optional[int] = None
-    heals: List[Dict[str, Any]] = field(default_factory=list)
-    suspicion: Dict[str, Any] = field(default_factory=dict)
-    error: Optional[str] = None
-
-    def replay_command(self) -> str:
-        return (
-            f"PYTHONPATH=src python -m repro.heal"
-            f" --strategy {self.strategy} --n {self.n} --t {self.t}"
-            f" --case {hex(self.case_seed)} --victim {self.victim}"
-        )
-
-    def repro_line(self) -> str:
-        return (
-            f"HEAL-REPRO: strategy={self.strategy} n={self.n} t={self.t}"
-            f" case={hex(self.case_seed)} victim={self.victim}"
-            f" detected={self.detected} replaced={self.replaced}"
-            f" digests_agree={self.digests_agree}"
-            f" stale_share_rejected={self.stale_share_rejected}"
-            f" error={self.error!r}"
-            f"\n  replay: {self.replay_command()}"
-        )
-
-
-_GROUP_CACHE: Dict[Any, GroupConfig] = {}
-
-
-def heal_group(n: int, t: int) -> GroupConfig:
-    """Deal (or reuse) a toy group that keeps the raw key material the
-    :class:`~repro.membership.epoch.EpochKeychain` derives epochs from."""
-    key = (n, t)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = fast_group(
-            n, t, params_mod.SecurityParams.toy(), sig_mode="multi", seed=1
-        )
-    return _GROUP_CACHE[key]
-
-
 def stale_share_rejected(
     keychain: EpochKeychain, roster: Any, epoch: int, victim: int
 ) -> bool:
@@ -154,36 +97,42 @@ def stale_share_rejected(
 
 
 def run_heal_case(
-    strategy_name: str,
-    case_seed: int,
+    case: Case,
     workdir: str,
     *,
-    n: int = 4,
-    t: int = 1,
-    victim: Optional[int] = None,
     group: Optional[GroupConfig] = None,
     recorder: Optional[Recorder] = None,
-    deadline: float = 20.0,
-    time_limit: float = 2000.0,
     traffic: int = 12,
     planner_config: Optional[PlannerConfig] = None,
     orchestrator_config: Optional[OrchestratorConfig] = None,
-) -> HealResult:
+) -> Result:
     """Execute one closed-loop heal case; deterministic in all arguments.
 
-    ``workdir`` hosts the replicas' durable state (WAL, checkpoints,
-    epoch files) — a fresh temporary directory per case.
+    ``case.adversaries`` pins the victim (default: derived from the case
+    seed).  ``workdir`` hosts the replicas' durable state (WAL,
+    checkpoints, epoch files) — a fresh temporary directory per case.
+    The result's ``details`` carry the four acceptance flags plus the
+    final epoch and counter value; its ``dump`` holds the orchestrator's
+    heal log and the per-replica suspicion at the end of the run.
     """
-    group = group or heal_group(n, t)
-    if victim is None:
+    n, t, case_seed = case.n, case.t, case.seed
+    deadline, time_limit = case.limits()
+    assert deadline is not None
+    group = group or default_group(n, t)
+    if case.adversaries:
+        victim = case.adversaries[0]
+    else:
         victim = rng_mod.derive(case_seed, "victim").randrange(n)
-    result = HealResult(
-        ok=False,
-        strategy=strategy_name,
-        n=n,
-        t=t,
-        case_seed=case_seed,
-        victim=victim,
+    result = Result(
+        case=replace(case, adversaries=(victim,)), ok=False, kind="acceptance"
+    )
+    details: Dict[str, Any] = dict(
+        detected=False,
+        replaced=False,
+        digests_agree=False,
+        stale_share_rejected=False,
+        final_epoch=0,
+        final_value=None,
     )
     runtime = SimRuntime(
         group,
@@ -195,14 +144,8 @@ def run_heal_case(
 
     # Infect the victim before any protocol object exists, exactly as the
     # adversary harness does: its whole stack runs behind the strategy.
-    strategy = make_strategy(
-        strategy_name, rng_mod.derive(case_seed, "strategy", victim)
-    )
-    strategy.adversaries = frozenset({victim})
-    runtime.contexts[victim] = AdversarialContext(
-        runtime.contexts[victim], strategy
-    )
-    runtime.routers[victim].observers.append(strategy.observe)
+    assert case.strategy is not None
+    infect(runtime, case.strategy, case_seed, [victim])
 
     parties = make_parties(runtime)
     keychain = EpochKeychain(group)
@@ -335,10 +278,10 @@ def run_heal_case(
                 value += sent + 1
                 sent += 1
 
-        result.detected = scorer.score(victim, runtime.now) > 0 or any(
+        details["detected"] = scorer.score(victim, runtime.now) > 0 or any(
             h["slot"] == victim for h in orchestrator.heals
         )
-        result.replaced = any(
+        details["replaced"] = any(
             h["outcome"] == "replaced" and h["slot"] == victim
             for h in orchestrator.heals
         )
@@ -347,7 +290,7 @@ def run_heal_case(
         # included) must converge on identical digests.
         post = live_honest() + (
             [services[victim]]
-            if result.replaced and services[victim] is not None
+            if details["replaced"] and services[victim] is not None
             else []
         )
         post = [s for s in post if s is not None]
@@ -381,58 +324,34 @@ def run_heal_case(
         runtime.run(until=runtime.now + 5 * deadline)
 
         digests = {s.last_state_digest() for s in post}
-        result.digests_agree = len(digests) == 1 and len(post) >= n - t
+        details["digests_agree"] = len(digests) == 1 and len(post) >= n - t
         values = {getattr(s.state, "value", None) for s in post}
-        result.final_value = values.pop() if len(values) == 1 else None
+        details["final_value"] = values.pop() if len(values) == 1 else None
         epochs = {s.membership_epoch for s in post}
-        result.final_epoch = max(epochs) if epochs else 0
+        details["final_epoch"] = max(epochs) if epochs else 0
 
         # Phase 4: the renewed attack.  The evicted replica still holds
         # its pre-refresh shares; they must be stale under the new epoch.
         anchor = post[0] if post else None
-        if anchor is not None and result.final_epoch > 0:
-            result.stale_share_rejected = stale_share_rejected(
-                keychain, anchor.roster, result.final_epoch, victim
+        if anchor is not None and details["final_epoch"] > 0:
+            details["stale_share_rejected"] = stale_share_rejected(
+                keychain, anchor.roster, details["final_epoch"], victim
             )
-        result.heals = list(orchestrator.heals)
-        result.suspicion = scorer.dump(runtime.now)
-        result.ok = (
-            result.detected
-            and result.replaced
-            and result.digests_agree
-            and result.stale_share_rejected
-        )
-        if not result.ok and result.error is None:
-            missing = [
-                name
-                for name, got in (
-                    ("detected", result.detected),
-                    ("replaced", result.replaced),
-                    ("digests_agree", result.digests_agree),
-                    ("stale_share_rejected", result.stale_share_rejected),
-                )
-                if not got
-            ]
+        result.dump = {
+            "heals": list(orchestrator.heals),
+            "suspicion": scorer.dump(runtime.now),
+        }
+        missing = [
+            name
+            for name in ("detected", "replaced", "digests_agree", "stale_share_rejected")
+            if not details[name]
+        ]
+        if missing:
             result.error = f"acceptance failed: {', '.join(missing)}"
+        else:
+            result.ok, result.kind = True, None
     except ReproError as exc:
         result.error = f"{type(exc).__name__}: {exc}"
+    result.details = details
     return result
 
-
-def case_digest(result: HealResult) -> str:
-    """A short stable fingerprint of a case outcome (campaign reporting)."""
-    blob = (
-        f"{result.strategy}:{result.case_seed}:{result.victim}:"
-        f"{result.replaced}:{result.final_epoch}:{result.final_value}"
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-__all__ = [
-    "CounterMachine",
-    "HealResult",
-    "heal_group",
-    "run_heal_case",
-    "stale_share_rejected",
-    "case_digest",
-]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import export
 
@@ -51,14 +51,25 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def format_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[Any]],
+    title: str = "",
+    fmt: Callable[[Any], str] = str,
+) -> str:
+    """Monospace table: left-aligned headers, right-aligned cells.
+
+    ``fmt`` renders each cell; callers pass their own number formatter.
+    """
+    str_rows = [[fmt(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
-    for row in rows:
+    for row in str_rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-             "  ".join("-" * w for w in widths)]
-    for row in rows:
+    lines = [title] if title else []
+    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
 
@@ -73,7 +84,7 @@ def summarize(record: Mapping[str, Any]) -> str:
     metrics = record.get("metrics", {})
     if metrics:
         rows = [[k, _fmt(float(v))] for k, v in sorted(metrics.items())]
-        lines.append(_indent(_table(["metric", "value"], rows)))
+        lines.append(_indent(format_table(["metric", "value"], rows)))
     phases = record.get("phases", {})
     if phases:
         rows = [
@@ -82,12 +93,12 @@ def summarize(record: Mapping[str, Any]) -> str:
              f"{s.get('p99', 0):.4f}", f"{s.get('total', 0):.3f}"]
             for name, s in sorted(phases.items())
         ]
-        lines.append(_indent(_table(
+        lines.append(_indent(format_table(
             ["phase", "count", "mean s", "p50", "p90", "p99", "total s"], rows)))
     counters = record.get("counters", {})
     if counters:
         rows = [[k, _fmt(float(v))] for k, v in sorted(counters.items())]
-        lines.append(_indent(_table(["counter", "value"], rows)))
+        lines.append(_indent(format_table(["counter", "value"], rows)))
     return "\n".join(lines)
 
 
@@ -159,7 +170,7 @@ def diff(
             if worse:
                 regressions.append(Regression(name, metric, base, cur))
         print(f"\n== {name} ==", file=out)
-        print(_table(["metric", "baseline", "current", "change", "verdict"], rows),
+        print(format_table(["metric", "baseline", "current", "change", "verdict"], rows),
               file=out)
         cur_phases = current[name].get("phases", {})
         if cur_phases and not gate_phases:
@@ -167,8 +178,8 @@ def diff(
                      f"{current[name]['phases'].get(p, {}).get('mean', 0):.4f}"]
                     for p, s in sorted(baseline[name].get("phases", {}).items())]
             if prow:
-                print(_indent(_table(["phase (informational)", "base mean s",
-                                      "cur mean s"], prow)), file=out)
+                print(_indent(format_table(["phase (informational)", "base mean s",
+                                            "cur mean s"], prow)), file=out)
     for name in skipped:
         print(f"\nskipped: {name} (present in baseline, missing from current run)",
               file=out)

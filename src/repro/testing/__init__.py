@@ -2,14 +2,15 @@
 
 Everything a test needs to fuzz the SINTRA stack from one integer seed:
 
-* :mod:`repro.testing.schedule` — seeded fault plans, protocol workload
-  scenarios, the single-case runner and the fuzz campaign driver (also a
-  CLI: ``python -m repro.testing.schedule``);
+* :mod:`repro.testing.schedule` — seeded fault plans and protocol
+  workload scenarios (``python -m repro.testing.schedule`` is the fuzz
+  CLI);
+* :mod:`repro.testing.case` — the case core every harness shares: one
+  case, runner, shrinker, campaign loop, replay line and failure writer;
 * :mod:`repro.testing.invariants` — live protocol safety checkers;
 * :mod:`repro.testing.mutator` — the wire-level Byzantine mutator;
 * :mod:`repro.testing.netchaos` — seeded socket-level chaos proxies for
-  the real asyncio TCP runtime;
-* :mod:`repro.testing.shrink` — greedy fault-plan minimization.
+  the real asyncio TCP runtime.
 
 See ``docs/TESTING.md`` for the guided tour.
 
@@ -23,6 +24,14 @@ import importlib
 from typing import Any
 
 _EXPORTS = {
+    "case": [
+        "Case",
+        "Result",
+        "campaign",
+        "report",
+        "run",
+        "shrink",
+    ],
     "invariants": [
         "AgreementInvariant",
         "Invariant",
@@ -37,7 +46,6 @@ _EXPORTS = {
     "netchaos": ["ChaosFabric", "ChaosProxy"],
     "schedule": [
         "AgreementScenario",
-        "CaseResult",
         "ChannelScenario",
         "Directive",
         "LedgerScenario",
@@ -46,13 +54,9 @@ _EXPORTS = {
         "build_fault_plan",
         "case_seed_for",
         "default_group",
-        "fuzz",
         "make_scenario",
         "plan_from_seed",
-        "report_failures",
-        "run_case",
     ],
-    "shrink": ["shrink_case"],
 }
 
 _NAME_TO_MODULE = {

@@ -17,11 +17,12 @@ partitions heal.  Protocol invariant checkers
 (:mod:`repro.testing.invariants`) run after every delivery; a liveness
 failure surfaces as the simulator going idle or over its time limit.
 
-Replaying is exact: :func:`run_case` with the same ``(scenario, n, t,
-case_seed)`` reproduces the run bit-for-bit, and ``keep`` restricts the
-fault plan to a subset of directive indices — the representation
-:mod:`repro.testing.shrink` minimizes over.  Every failure is reported as
-a one-line ``FUZZ-REPRO:`` command that replays it from the shell::
+Replaying is exact: the same ``(scenario, n, t, case_seed)`` reproduces
+the run bit-for-bit, and ``keep`` restricts the fault plan to a subset of
+directive indices, the representation the shrinker minimizes over.  The
+case runner, shrinker, campaign loop and CLI live in
+:mod:`repro.testing.case`; every failure is reported as a one-line
+``FUZZ-REPRO:`` summary plus a command that replays it from the shell::
 
     PYTHONPATH=src python -m repro.testing.schedule \\
         --scenario atomic --n 4 --t 1 --case 0x1234abcd --keep 0,3
@@ -29,8 +30,6 @@ a one-line ``FUZZ-REPRO:`` command that replays it from the shell::
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -48,13 +47,10 @@ from repro.net.faults import (
     HealingPartitionAdversary,
     SlowLinkAdversary,
 )
-from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
-from repro.net.sim import SimError
 from repro.testing.invariants import (
     AgreementInvariant,
     InvariantSuite,
-    InvariantViolation,
     LedgerInvariant,
     SecureCausalityInvariant,
     StabilityInvariant,
@@ -380,63 +376,18 @@ def make_scenario(name: str) -> Scenario:
         ) from None
 
 
-# --- running one case ---------------------------------------------------------------
-
-
-@dataclass
-class CaseResult:
-    """Outcome of one fuzz case, carrying everything needed to replay it."""
-
-    ok: bool
-    scenario: str
-    n: int
-    t: int
-    case_seed: int
-    plan_size: int
-    kept: List[int]
-    directives: List[Directive] = field(default_factory=list)
-    error: Optional[str] = None
-    checks_run: int = 0
-    shrink_runs: int = 0
-
-    @property
-    def minimized(self) -> bool:
-        return len(self.kept) < self.plan_size
-
-    def replay_command(self) -> str:
-        cmd = (
-            f"PYTHONPATH=src python -m repro.testing.schedule"
-            f" --scenario {self.scenario} --n {self.n} --t {self.t}"
-            f" --case {hex(self.case_seed)}"
-        )
-        if self.minimized:
-            cmd += f" --keep {','.join(map(str, self.kept)) or 'none'}"
-        return cmd
-
-    def repro_line(self) -> str:
-        faults = "; ".join(str(d) for d in self.directives) or "no faults"
-        return (
-            f"FUZZ-REPRO: scenario={self.scenario} n={self.n} t={self.t}"
-            f" case={hex(self.case_seed)} faults=[{faults}]"
-            f" error={self.error!r}\n  replay: {self.replay_command()}"
-        )
-
-
-def parse_keep(text: Optional[str]) -> Optional[List[int]]:
-    """Parse a ``--keep`` list (``"0,3,5"``; ``"none"`` = empty plan)."""
-    if text is None:
-        return None
-    text = text.strip()
-    if text in ("", "none"):
-        return []
-    return [int(part) for part in text.split(",")]
+# --- groups and campaign seeds ------------------------------------------------------
 
 
 _GROUP_CACHE: Dict[Tuple[int, int], GroupConfig] = {}
 
 
 def default_group(n: int, t: int) -> GroupConfig:
-    """Deal (or reuse) the toy-parameter group the fuzzer runs on."""
+    """Deal (or reuse) the toy-parameter group every harness runs on.
+
+    It keeps the raw key material the heal scenario's
+    :class:`~repro.membership.epoch.EpochKeychain` derives epochs from.
+    """
     key = (n, t)
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = fast_group(
@@ -445,200 +396,12 @@ def default_group(n: int, t: int) -> GroupConfig:
     return _GROUP_CACHE[key]
 
 
-def run_case(
-    scenario: Scenario,
-    n: int,
-    t: int,
-    case_seed: int,
-    keep: Optional[Sequence[int]] = None,
-    group: Optional[GroupConfig] = None,
-    time_limit: float = 300.0,
-) -> CaseResult:
-    """Execute one fuzz case; deterministic in all arguments.
-
-    ``keep`` restricts the generated fault plan to the given directive
-    indices (``None`` keeps everything) — the shrinker's replay knob.
-    """
-    group = group or default_group(n, t)
-    plan = plan_from_seed(case_seed, n, t)
-    kept = list(range(len(plan))) if keep is None else list(keep)
-    bad = [i for i in kept if not 0 <= i < len(plan)]
-    if bad:
-        raise ValueError(
-            f"keep indices {bad} out of range: case {hex(case_seed)} plans "
-            f"{len(plan)} fault directives"
-        )
-    directives = [plan[i] for i in kept]
-    faults, compromised = build_fault_plan(directives)
-    crashed = {c.victim for c in faults.crashes}
-    runtime = SimRuntime(
-        group, latency=lan_latency(), seed=("fuzz", case_seed), faults=faults
-    )
-    if compromised:
-        factory = scenario.mutator_factory or ByzantineMutator
-        mutator = factory(
-            group, compromised, rng_mod.derive(case_seed, "mutator"),
-            recorder=runtime.obs,
-        )
-        runtime.wire_taps.append(mutator)
-    setup = scenario.setup(runtime, group, crashed=crashed, compromised=compromised)
-    setup.suite.attach(runtime)
-    result = CaseResult(
-        ok=True,
-        scenario=scenario.name,
-        n=n,
-        t=t,
-        case_seed=case_seed,
-        plan_size=len(plan),
-        kept=kept,
-        directives=directives,
-        error=None,
-    )
-    try:
-        for fut in setup.futures:
-            runtime.run_until(fut, limit=time_limit)
-        setup.suite.finalize()
-    except InvariantViolation as exc:
-        result.ok = False
-        result.error = f"invariant violated: {exc}"
-    except SimError as exc:
-        result.ok = False
-        result.error = f"liveness: {exc}"
-    result.checks_run = setup.suite.checks_run
-    return result
-
-
-# --- the fuzz driver -----------------------------------------------------------------
-
-
 def case_seed_for(root_seed: int, scenario_name: str, n: int, t: int, i: int) -> int:
     """The i-th case seed of a fuzz campaign (stable across versions)."""
     return rng_mod.derive_int(root_seed, "case", scenario_name, n, t, i)
 
 
-def fuzz(
-    scenario: Scenario,
-    n: int,
-    t: int,
-    root_seed: int,
-    iterations: int,
-    group: Optional[GroupConfig] = None,
-    shrink_failures: bool = True,
-    fail_fast: bool = True,
-    time_limit: float = 300.0,
-) -> List[CaseResult]:
-    """Run ``iterations`` seeded cases; returns the (shrunk) failures."""
-    from repro.testing.shrink import shrink_case
-
-    group = group or default_group(n, t)
-    failures: List[CaseResult] = []
-    for i in range(iterations):
-        case_seed = case_seed_for(root_seed, scenario.name, n, t, i)
-        result = run_case(
-            scenario, n, t, case_seed, group=group, time_limit=time_limit
-        )
-        if result.ok:
-            continue
-        if shrink_failures:
-            result = shrink_case(
-                scenario, n, t, case_seed, group=group, time_limit=time_limit,
-                first_failure=result,
-            )
-        failures.append(result)
-        if fail_fast:
-            break
-    return failures
-
-
-def report_failures(failures: Sequence[CaseResult]) -> str:
-    """Human-readable failure report; also honors ``FUZZ_REPRO_FILE``.
-
-    When the environment variable ``FUZZ_REPRO_FILE`` names a file, every
-    repro line is appended there as well — CI uploads that file as the
-    artifact of a failing fuzz job.
-    """
-    lines = [f.repro_line() for f in failures]
-    text = "\n".join(lines)
-    path = os.environ.get("FUZZ_REPRO_FILE")
-    if path and lines:
-        with open(path, "a") as f:
-            f.write(text + "\n")
-    return text
-
-
-# --- CLI: replay and ad-hoc campaigns ------------------------------------------------
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.testing.schedule",
-        description="Seeded schedule/Byzantine fuzzing for the SINTRA stack.",
-    )
-    parser.add_argument(
-        "--scenario", required=True, choices=sorted(SCENARIOS),
-        help="protocol workload to drive",
-    )
-    parser.add_argument("--n", type=int, default=4, help="group size")
-    parser.add_argument("--t", type=int, default=1, help="fault threshold")
-    parser.add_argument(
-        "--case", default=None,
-        help="replay exactly this case seed (int, hex, or arbitrary string)",
-    )
-    parser.add_argument(
-        "--keep", default=None,
-        help="comma-separated fault-directive indices to keep ('none' = all off)",
-    )
-    parser.add_argument(
-        "--seed", default="0", help="campaign root seed (with --iterations)"
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=10, help="cases per campaign"
-    )
-    parser.add_argument(
-        "--no-shrink", action="store_true", help="report failures unshrunk"
-    )
-    parser.add_argument(
-        "--time-limit", type=float, default=300.0,
-        help="simulated-seconds budget per case",
-    )
-    args = parser.parse_args(argv)
-    if not args.n > 3 * args.t:
-        parser.error(f"SINTRA requires n > 3t (got n={args.n}, t={args.t})")
-
-    scenario = make_scenario(args.scenario)
-    if args.case is not None:
-        case_seed = rng_mod.parse_seed(args.case)
-        try:
-            result = run_case(
-                scenario, args.n, args.t, case_seed,
-                keep=parse_keep(args.keep), time_limit=args.time_limit,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        if result.ok:
-            print(
-                f"OK: scenario={result.scenario} n={result.n} t={result.t}"
-                f" case={hex(case_seed)} ({result.checks_run} invariant sweeps,"
-                f" faults=[{'; '.join(map(str, result.directives)) or 'none'}])"
-            )
-            return 0
-        print(report_failures([result]))
-        return 1
-
-    root_seed = rng_mod.parse_seed(args.seed)
-    failures = fuzz(
-        scenario, args.n, args.t, root_seed, args.iterations,
-        shrink_failures=not args.no_shrink, time_limit=args.time_limit,
-    )
-    if not failures:
-        print(
-            f"OK: {args.iterations} cases of scenario={args.scenario}"
-            f" n={args.n} t={args.t} seed={hex(root_seed)}"
-        )
-        return 0
-    print(report_failures(failures))
-    return 1
-
-
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())
+    from repro.testing.case import main
+
+    sys.exit(main("fuzz"))

@@ -18,10 +18,12 @@ honest parties down different decision paths across a slow link.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.adversary import run_adversary_case, shrink_adversary_case
-from repro.testing.schedule import Directive, default_group
+from repro.testing.case import Case, main, run, shrink
+from repro.testing.schedule import Directive
 
 #: a symmetric slow link separating the honest pair {0, 1}; every case in
 #: this module runs under it so the t vs. t+1 comparison is apples to apples.
@@ -32,14 +34,16 @@ EXTRA = (
 
 #: the pinned t+1 coalition and the seed whose honest proposals diverge
 #: (0 proposes one bit, 1 the other) — the precondition for a split decision.
-COALITION = [2, 3]
+COALITION = (2, 3)
 SAFETY_SEED = 2
 LIVENESS_SEED = 0
 
-
-@pytest.fixture(scope="module")
-def group4():
-    return default_group(4, 1)
+#: the t+1 coalition's case under the pinned slow links, bare of any
+#: seed-derived chaos
+SAFETY_CASE = Case(
+    "adv", "binary", "doublevote", seed=SAFETY_SEED,
+    adversaries=COALITION, keep=(), extra=EXTRA, allow_excess=True,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -47,19 +51,16 @@ def group4():
 def test_exactly_t_doublevote_is_absorbed(adversary, seed, group4):
     """Each coalition member *alone* (exactly t) is harmless under the
     identical network conditions that doom the t+1 runs below."""
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, seed,
-        adversaries=[adversary], keep=[], extra_directives=EXTRA, group=group4,
+    case = Case(
+        "adv", "binary", "doublevote", seed=seed,
+        adversaries=(adversary,), keep=(), extra=EXTRA,
     )
+    result = run(case, group=group4)
     assert result.ok, result.repro_line()
 
 
 def test_t_plus_one_doublevote_breaks_safety(group4):
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, SAFETY_SEED,
-        adversaries=COALITION, keep=[], extra_directives=EXTRA,
-        group=group4, allow_excess=True,
-    )
+    result = run(SAFETY_CASE, group=group4)
     assert not result.ok
     assert result.kind == "safety"
     assert "decided differently" in result.error
@@ -71,16 +72,10 @@ def test_t_plus_one_doublevote_breaks_safety(group4):
 def test_safety_repro_line_replays_via_cli(group4, capsys):
     """Pasting the printed replay command reproduces the exact failure —
     the pinned slow links travel with it as ``--extra`` specs."""
-    from repro.adversary.harness import main
-
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, SAFETY_SEED,
-        adversaries=COALITION, keep=[], extra_directives=EXTRA,
-        group=group4, allow_excess=True,
-    )
+    result = run(SAFETY_CASE, group=group4)
     argv = result.replay_command().split()
     argv = argv[argv.index("repro.adversary") + 1:]
-    assert main(argv) == 1
+    assert main("adv", argv) == 1
     out = capsys.readouterr().out
     assert "ADV-REPRO" in out and "decided differently" in out
 
@@ -89,25 +84,15 @@ def test_t_plus_one_doublevote_breaks_liveness(group4):
     """Seeds where the honest proposals agree livelock instead: the
     coalition keeps both values viable forever, so rounds spin without a
     decision until the simulated-time budget trips."""
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, LIVENESS_SEED,
-        adversaries=COALITION, keep=[], extra_directives=EXTRA,
-        group=group4, allow_excess=True, time_limit=10.0,
-    )
+    case = replace(SAFETY_CASE, seed=LIVENESS_SEED, time_limit=10.0)
+    result = run(case, group=group4)
     assert not result.ok
     assert result.kind == "liveness"
     assert result.error
 
 
 def test_safety_break_is_deterministic(group4):
-    runs = [
-        run_adversary_case(
-            "binary", "doublevote", 4, 1, SAFETY_SEED,
-            adversaries=COALITION, keep=[], extra_directives=EXTRA,
-            group=group4, allow_excess=True,
-        )
-        for _ in range(2)
-    ]
+    runs = [run(SAFETY_CASE, group=group4) for _ in range(2)]
     assert runs[0].error == runs[1].error
     assert runs[0].kind == runs[1].kind == "safety"
 
@@ -116,17 +101,15 @@ def test_shrink_discards_superfluous_chaos(group4):
     """The safety break needs none of the seed-derived chaos plan — only
     the pinned slow links — so the shrinker reduces ``kept`` to empty and
     the failure survives, same kind, same error."""
-    kwargs = dict(
-        adversaries=COALITION, extra_directives=EXTRA,
-        group=group4, allow_excess=True, time_limit=10.0,
-    )
-    first = run_adversary_case("binary", "doublevote", 4, 1, SAFETY_SEED, **kwargs)
+    case = replace(SAFETY_CASE, keep=None, time_limit=10.0)
+    first = run(case, group=group4)
     assert not first.ok and first.kind == "safety"
     assert first.plan_size > 0  # there is chaos to discard
-    shrunk = shrink_adversary_case(first, **kwargs)
+    shrunk = shrink(first, group=group4)
     assert not shrunk.ok
     assert shrunk.kind == first.kind
-    assert shrunk.minimized
-    assert shrunk.kept == []
-    assert shrunk.shrink_runs == first.plan_size
+    assert len(shrunk.case.keep) < shrunk.plan_size
+    assert shrunk.case.keep == ()
+    # the plan holds one directive: the first binary chop drops all of it
+    assert shrunk.shrink_runs == 1
     assert "--keep none" in shrunk.replay_command()

@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.common.encoding import encode
 from repro.net import links
 from repro.obs.recorder import MemoryRecorder
 from repro.testing.mutator import ByzantineMutator, MutationRates
-from repro.testing.schedule import default_group
 
 QUIET = MutationRates(drop=0, duplicate=0, bitflip=0, mutate=0, equivocate=0, replay=0)
-
-
-@pytest.fixture(scope="module")
-def group4():
-    return default_group(4, 1)
 
 
 def _valid_wire(group, src, dst):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary import STRATEGIES, make_strategy, run_adversary_case
+from repro.adversary import STRATEGIES, make_strategy
 from repro.obs.recorder import MemoryRecorder
-from repro.testing.schedule import default_group
+from repro.testing.case import Case, main, run
 
 #: three pinned case seeds per strategy (acceptance criterion: >= 3)
 PINNED_SEEDS = [0x51, 0xA7, 0x1234]
@@ -23,34 +23,29 @@ PINNED_SEEDS = [0x51, 0xA7, 0x1234]
 ALL_STRATEGIES = sorted(STRATEGIES)
 
 
-@pytest.fixture(scope="module")
-def group4():
-    return default_group(4, 1)
-
-
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_binary_agreement_absorbs_t_adversaries(strategy, seed, group4):
-    result = run_adversary_case("binary", strategy, 4, 1, seed, group=group4)
+    result = run(Case("adv", "binary", strategy, seed=seed), group=group4)
     assert result.ok, result.repro_line()
     assert result.checks_run > 0
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_atomic_channel_absorbs_t_adversaries(strategy, group4):
-    result = run_adversary_case("atomic", strategy, 4, 1, 0x1234, group=group4)
+    result = run(Case("adv", "atomic", strategy, seed=0x1234), group=group4)
     assert result.ok, result.repro_line()
 
 
 @pytest.mark.parametrize("strategy", ["doublevote", "badshare", "forgecert"])
 def test_mvba_absorbs_t_adversaries(strategy, group4):
-    result = run_adversary_case("mvba", strategy, 4, 1, 0x1234, group=group4)
+    result = run(Case("adv", "mvba", strategy, seed=0x1234), group=group4)
     assert result.ok, result.repro_line()
 
 
 @pytest.mark.parametrize("strategy", ["silence", "withhold", "equivocate", "replay"])
 def test_secure_channel_absorbs_t_adversaries(strategy, group4):
-    result = run_adversary_case("secure", strategy, 4, 1, 0x1234, group=group4)
+    result = run(Case("adv", "secure", strategy, seed=0x1234), group=group4)
     assert result.ok, result.repro_line()
 
 
@@ -67,14 +62,14 @@ def test_strategies_actually_act(group4):
         "doublevote": "split-pre-vote",
     }
     for strategy, action in expected.items():
-        result = run_adversary_case("atomic", strategy, 4, 1, 0x1234, group=group4)
+        result = run(Case("adv", "atomic", strategy, seed=0x1234), group=group4)
         assert result.actions.get(action, 0) > 0, (strategy, result.actions)
 
 
 def test_strategy_actions_surface_as_obs_counters(group4):
     recorder = MemoryRecorder()
-    result = run_adversary_case(
-        "binary", "silence", 4, 1, 0x1234, group=group4, recorder=recorder
+    result = run(
+        Case("adv", "binary", "silence", seed=0x1234), group=group4, recorder=recorder
     )
     assert result.ok
     counters = recorder.snapshot()["counters"]
@@ -82,11 +77,11 @@ def test_strategy_actions_surface_as_obs_counters(group4):
 
 
 def test_replay_is_deterministic(group4):
-    first = run_adversary_case("binary", "doublevote", 4, 1, 0x51, group=group4)
-    second = run_adversary_case("binary", "doublevote", 4, 1, 0x51, group=group4)
+    first = run(Case("adv", "binary", "doublevote", seed=0x51), group=group4)
+    second = run(Case("adv", "binary", "doublevote", seed=0x51), group=group4)
     assert first.ok == second.ok
     assert first.actions == second.actions
-    assert first.adversaries == second.adversaries
+    assert first.case.adversaries == second.case.adversaries
     assert first.directives == second.directives
 
 
@@ -97,15 +92,12 @@ def test_unknown_strategy_rejected():
 
 def test_excess_adversaries_rejected_by_default(group4):
     with pytest.raises(ValueError, match="exceeds t"):
-        run_adversary_case(
-            "binary", "silence", 4, 1, 0, adversaries=[1, 2], group=group4
-        )
+        run(Case("adv", "binary", "silence", adversaries=(1, 2)), group=group4)
 
 
 def test_cli_replays_a_case(capsys, group4):
-    from repro.adversary.harness import main
-
     code = main(
+        "adv",
         [
             "--scenario", "binary", "--strategy", "withhold",
             "--n", "4", "--t", "1", "--case", "0x51",

@@ -22,12 +22,6 @@ from repro.net.failure_detector import FailureDetector
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
 from repro.obs.recorder import MemoryRecorder
-from repro.testing.schedule import default_group
-
-
-@pytest.fixture(scope="module")
-def group4():
-    return default_group(4, 1)
 
 
 # -- sentinel derivation -------------------------------------------------------

@@ -19,8 +19,6 @@ concurrently.  The edge guarantees must survive that:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.app.replication import ReplicatedService
@@ -35,18 +33,6 @@ from tests.recovery.test_service_sim import RCounter
 
 CLIENTS = ("alice", "bob")
 REQUESTS_PER_CLIENT = 8
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/client/test_backpressure_batched.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _deployment(group, seed, **channel_kwargs):
@@ -71,7 +57,7 @@ def _deployment(group, seed, **channel_kwargs):
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_burst_sheds_retryably_and_executes_each_request_once(
-    group4, fuzz_seed, depth
+    group4, fuzz_seed, depth, chaos_repro
 ):
     rt, services, net, obs = _deployment(
         group4, fuzz_seed, max_pending=2, max_batch=4, pipeline_depth=depth,
@@ -129,15 +115,12 @@ def test_burst_sheds_retryably_and_executes_each_request_once(
         assert obs.counters["reqserver.submitted"] >= total
         no_errors(rt)
     except AssertionError:
-        print(_repro(
-            "test_burst_sheds_retryably_and_executes_each_request_once",
-            fuzz_seed,
-        ))
+        chaos_repro()
         raise
 
 
 def test_coalescing_drains_congestion_without_client_retries_lost(
-    group4, fuzz_seed
+    group4, fuzz_seed, chaos_repro
 ):
     """With batching on, a congested channel drains whole bursts per round:
     submit-side congestion must clear (can_submit flips back) and the
@@ -161,8 +144,5 @@ def test_coalescing_drains_congestion_without_client_retries_lost(
         assert obs.counters.get("atomic.batch.payloads", 0) >= REQUESTS_PER_CLIENT
         no_errors(rt)
     except AssertionError:
-        print(_repro(
-            "test_coalescing_drains_congestion_without_client_retries_lost",
-            fuzz_seed,
-        ))
+        chaos_repro()
         raise

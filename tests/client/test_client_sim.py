@@ -15,8 +15,6 @@ The acceptance scenarios, deterministic and seed-replayable:
 Failures print a ``CHAOS-REPRO`` line pinning the seed.
 """
 
-import os
-
 import pytest
 
 from repro.app.replication import ReplicatedService
@@ -30,18 +28,6 @@ from repro.obs import MemoryRecorder
 
 from tests.helpers import no_errors, sim_runtime
 from tests.recovery.test_service_sim import RCounter
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/client/test_client_sim.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _deployment(group, seed, server_kwargs=None, **service_kwargs):
@@ -59,7 +45,7 @@ def _deployment(group, seed, server_kwargs=None, **service_kwargs):
     return rt, services, net, obs
 
 
-def test_correct_reply_with_t_byzantine_repliers(group4, fuzz_seed):
+def test_correct_reply_with_t_byzantine_repliers(group4, fuzz_seed, chaos_repro):
     """(a) The contact replica forges every reply byte; the client still
     returns the honest t+1 result."""
     rt, services, net, obs = _deployment(group4, fuzz_seed)
@@ -80,11 +66,11 @@ def test_correct_reply_with_t_byzantine_repliers(group4, fuzz_seed):
         assert all(s.state.inner.value == 8 for s in services)
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_correct_reply_with_t_byzantine_repliers", fuzz_seed))
+        chaos_repro()
         raise
 
 
-def test_failover_executes_exactly_once(group4, fuzz_seed):
+def test_failover_executes_exactly_once(group4, fuzz_seed, chaos_repro):
     """(b) Contact unreachable: timeout, failover broadcast, several
     replicas submit the same envelope — applied exactly once everywhere."""
     rt, services, net, obs = _deployment(group4, fuzz_seed)
@@ -107,11 +93,11 @@ def test_failover_executes_exactly_once(group4, fuzz_seed):
         assert len({s.last_state_digest() for s in services}) == 1
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_failover_executes_exactly_once", fuzz_seed))
+        chaos_repro()
         raise
 
 
-def test_overloaded_shed_then_backoff_retry_succeeds(group4, fuzz_seed):
+def test_overloaded_shed_then_backoff_retry_succeeds(group4, fuzz_seed, chaos_repro):
     """(c) The second concurrent request is shed with OVERLOADED; the
     client's backoff retry lands after the first completes and succeeds."""
     rt, services, net, obs = _deployment(
@@ -131,12 +117,11 @@ def test_overloaded_shed_then_backoff_retry_succeeds(group4, fuzz_seed):
         assert all(len(s.log) == 2 for s in services)
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_overloaded_shed_then_backoff_retry_succeeds",
-                     fuzz_seed))
+        chaos_repro()
         raise
 
 
-def test_channel_backpressure_reaches_the_client(group4, fuzz_seed):
+def test_channel_backpressure_reaches_the_client(group4, fuzz_seed, chaos_repro):
     """The atomic channel's max_pending bound becomes an OVERLOADED
     reply at the network edge, not a crash or a silent drop."""
     rt, services, net, obs = _deployment(group4, fuzz_seed, max_pending=1)
@@ -151,7 +136,7 @@ def test_channel_backpressure_reaches_the_client(group4, fuzz_seed):
         assert all(s.state.inner.value == 3 for s in services)
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_channel_backpressure_reaches_the_client", fuzz_seed))
+        chaos_repro()
         raise
 
 

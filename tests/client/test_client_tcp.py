@@ -14,7 +14,6 @@ Failures print a ``CHAOS-REPRO`` line pinning the campaign seed.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -43,18 +42,6 @@ def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
 
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/client/test_client_tcp.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
-
-
 async def _wait(predicate, timeout=60.0, what="condition"):
     for _ in range(int(timeout / 0.05)):
         if predicate():
@@ -78,7 +65,7 @@ async def _raw_resubmit(endpoint, client_id, seq, command, timeout=10.0):
         writer.close()
 
 
-def test_contact_killed_midrequest_failover_exactly_once(fuzz_seed, tmp_path):
+def test_contact_killed_midrequest_failover_exactly_once(fuzz_seed, tmp_path, chaos_repro):
     """Kill the contact replica with a request in flight: the reply still
     arrives (t+1 vote over the survivors) and the command applies exactly
     once; the recovered victim then serves a resubmission from its
@@ -186,8 +173,7 @@ def test_contact_killed_midrequest_failover_exactly_once(fuzz_seed, tmp_path):
         assert len(set(out["digests"])) == 1
         assert out["client_completed"] == out["client_requests"] == 5
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro(
-            "test_contact_killed_midrequest_failover_exactly_once", fuzz_seed))
+        chaos_repro()
         raise
 
     # Export the run's client.* counters and e2e phase through the BENCH

@@ -4,6 +4,7 @@ configuration and session-scoped.
 Also wires the fuzz harness (``tests/fuzz``) into pytest: ``--fuzz-seed``
 sets the campaign root seed (any string; hashed if not an integer) and
 ``--fuzz-iterations`` the number of cases per scenario/configuration.
+Seeded chaos tests report a failure through the ``chaos_repro`` fixture.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import pytest
 from repro.common.rng import parse_seed
 from repro.crypto.dealer import fast_group
 from repro.crypto.params import SecurityParams
+from repro.testing.case import write_repro
+from repro.testing.schedule import default_group
 
 _GROUP_CACHE = {}
 
@@ -57,6 +60,20 @@ def fuzz_iterations(request):
     return request.config.getoption("--fuzz-iterations")
 
 
+@pytest.fixture
+def chaos_repro(request, fuzz_seed):
+    """Call on failure: prints this test's ``CHAOS-REPRO`` line, which
+    re-runs it under the same seed, and records it in ``$REPRO_FILE``."""
+
+    def emit() -> None:
+        print(write_repro([
+            f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
+            f"{request.node.nodeid} --fuzz-seed={hex(fuzz_seed)}"
+        ]))
+
+    return emit
+
+
 def cached_group(n=4, t=1, sig_mode="multi", seed=1):
     """Deal (or reuse) a toy group for tests."""
     key = (n, t, sig_mode, seed)
@@ -70,7 +87,7 @@ def cached_group(n=4, t=1, sig_mode="multi", seed=1):
 @pytest.fixture(scope="session")
 def group4():
     """The standard n=4, t=1 multi-signature group."""
-    return cached_group(4, 1, "multi")
+    return default_group(4, 1)
 
 
 @pytest.fixture(scope="session")
@@ -82,4 +99,4 @@ def group4_shoup():
 @pytest.fixture(scope="session")
 def group7():
     """The paper's hybrid-size group: n=7, t=2."""
-    return cached_group(7, 2, "multi")
+    return default_group(7, 2)

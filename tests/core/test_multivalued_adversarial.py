@@ -14,16 +14,15 @@ from repro.core.channel import SecureAtomicChannel
 from repro.core.protocol import Protocol
 from repro.testing import (
     AgreementInvariant,
+    Case,
     InvariantSuite,
     SecureCausalityInvariant,
     TotalOrderInvariant,
-    case_seed_for,
-    make_scenario,
     plan_from_seed,
-    run_case,
+    run,
 )
 
-from tests.helpers import sim_runtime
+from tests.helpers import first_case, sim_runtime
 
 
 class EquivocatingProposer(ArrayAgreement):
@@ -101,27 +100,15 @@ def test_bogus_decryption_shares_stay_green(group4):
     assert sorted(releases[0]) == sorted(secrets)
 
 
-def _t_crash_case(scenario_name: str, n: int, t: int):
-    """A planted case whose fault plan crashes exactly ``t`` parties.
-
-    Returns the case seed and the plan indices of the crash directives, so
-    ``run_case(..., keep=...)`` replays a pure ``t``-crash schedule.
-    """
-    for i in range(200):
-        seed = case_seed_for(0xC7A54, scenario_name, n, t, i)
-        plan = plan_from_seed(seed, n, t)
-        crash_idx = [k for k, d in enumerate(plan) if d.kind == "crash"]
-        if len(crash_idx) == t:
-            return seed, crash_idx
-    raise AssertionError("no t-crash plan among 200 cases")  # pragma: no cover
-
-
 @pytest.mark.parametrize("scenario", ("mvba", "secure"))
 def test_t_crash_run_through_harness(scenario, group4):
-    seed, crash_idx = _t_crash_case(scenario, 4, 1)
-    result = run_case(
-        make_scenario(scenario), 4, 1, seed, keep=crash_idx, group=group4
+    # a plan crashing exactly t parties; keeping only those directives
+    # replays a pure t-crash schedule
+    seed = first_case(
+        0xC7A54, scenario, 4, 1, lambda p: sum(d.kind == "crash" for d in p) == 1
     )
+    crash_idx = [k for k, d in enumerate(plan_from_seed(seed, 4, 1)) if d.kind == "crash"]
+    result = run(Case("fuzz", scenario, seed=seed, keep=tuple(crash_idx)), group=group4)
     assert [d.kind for d in result.directives] == ["crash"]
     assert result.ok, result.error
     assert result.checks_run > 0

@@ -10,31 +10,27 @@ from __future__ import annotations
 import pytest
 
 from repro.testing import (
+    Case,
     build_fault_plan,
+    campaign,
     case_seed_for,
-    fuzz,
-    make_scenario,
     plan_from_seed,
-    report_failures,
-    run_case,
+    report,
+    run,
 )
 
 
 @pytest.mark.parametrize("kind", ("binary", "mvba"))
 def test_fuzz_agreement_n4(kind, group4, fuzz_seed, fuzz_iterations):
-    failures = fuzz(
-        make_scenario(kind), 4, 1, fuzz_seed, fuzz_iterations, group=group4
-    )
-    assert not failures, "\n" + report_failures(failures)
+    results = campaign(Case("fuzz", kind), fuzz_seed, fuzz_iterations, group=group4)
+    assert all(r.ok for r in results), "\n" + report(results)
 
 
 @pytest.mark.parametrize("kind", ("binary", "mvba"))
 def test_fuzz_agreement_n7(kind, group7, fuzz_seed, fuzz_iterations):
     iterations = min(fuzz_iterations, 5)  # n=7 agreement runs are heavier
-    failures = fuzz(
-        make_scenario(kind), 7, 2, fuzz_seed, iterations, group=group7
-    )
-    assert not failures, "\n" + report_failures(failures)
+    results = campaign(Case("fuzz", kind, n=7, t=2), fuzz_seed, iterations, group=group7)
+    assert all(r.ok for r in results), "\n" + report(results)
 
 
 # --- harness determinism ------------------------------------------------------------
@@ -52,8 +48,8 @@ def test_plans_are_deterministic_and_bounded(fuzz_seed):
 
 def test_case_replay_is_identical(group4, fuzz_seed):
     seed = case_seed_for(fuzz_seed, "replay", 4, 1, 0)
-    a = run_case(make_scenario("atomic"), 4, 1, seed, group=group4)
-    b = run_case(make_scenario("atomic"), 4, 1, seed, group=group4)
+    a = run(Case("fuzz", "atomic", seed=seed), group=group4)
+    b = run(Case("fuzz", "atomic", seed=seed), group=group4)
     assert (a.ok, a.error, a.checks_run) == (b.ok, b.error, b.checks_run)
     assert a.directives == b.directives
 
@@ -63,10 +59,10 @@ def test_keep_subset_replays(group4, fuzz_seed):
     seed = case_seed_for(fuzz_seed, "keep", 4, 1, 1)
     plan = plan_from_seed(seed, 4, 1)
     assert plan, "generator always emits at least one spike directive"
-    sub = list(range(0, len(plan), 2))
-    a = run_case(make_scenario("atomic"), 4, 1, seed, keep=sub, group=group4)
-    b = run_case(make_scenario("atomic"), 4, 1, seed, keep=sub, group=group4)
+    sub = tuple(range(0, len(plan), 2))
+    a = run(Case("fuzz", "atomic", seed=seed, keep=sub), group=group4)
+    b = run(Case("fuzz", "atomic", seed=seed, keep=sub), group=group4)
     assert a.directives == [plan[i] for i in sub]
     assert (a.ok, a.error, a.checks_run) == (b.ok, b.error, b.checks_run)
-    empty = run_case(make_scenario("atomic"), 4, 1, seed, keep=[], group=group4)
+    empty = run(Case("fuzz", "atomic", seed=seed, keep=()), group=group4)
     assert empty.ok and not empty.directives

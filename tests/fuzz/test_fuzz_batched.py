@@ -23,15 +23,16 @@ from repro.common.encoding import decode, encode
 from repro.core.channel.atomic import AtomicChannel
 from repro.testing import (
     BatchFrameMutator,
+    Case,
     ChannelScenario,
-    case_seed_for,
-    fuzz,
+    campaign,
     make_scenario,
-    plan_from_seed,
-    report_failures,
-    run_case,
-    shrink_case,
+    report,
+    run,
+    shrink,
 )
+
+from tests.helpers import first_case
 
 BATCHED_KINDS = ("batched", "offload")
 
@@ -44,18 +45,14 @@ BATCH_SEED = 0xBA7C
 
 @pytest.mark.parametrize("kind", BATCHED_KINDS)
 def test_fuzz_batched_n4(kind, group4, fuzz_seed, fuzz_iterations):
-    failures = fuzz(
-        make_scenario(kind), 4, 1, fuzz_seed, fuzz_iterations, group=group4
-    )
-    assert not failures, "\n" + report_failures(failures)
+    results = campaign(Case("fuzz", kind), fuzz_seed, fuzz_iterations, group=group4)
+    assert all(r.ok for r in results), "\n" + report(results)
 
 
 @pytest.mark.parametrize("kind", BATCHED_KINDS)
 def test_fuzz_batched_n7(kind, group7, fuzz_seed, fuzz_iterations):
-    failures = fuzz(
-        make_scenario(kind), 7, 2, fuzz_seed, fuzz_iterations, group=group7
-    )
-    assert not failures, "\n" + report_failures(failures)
+    results = campaign(Case("fuzz", kind, n=7, t=2), fuzz_seed, fuzz_iterations, group=group7)
+    assert all(r.ok for r in results), "\n" + report(results)
 
 
 def test_batched_scenarios_install_batch_mutator():
@@ -66,20 +63,11 @@ def test_batched_scenarios_install_batch_mutator():
     assert make_scenario("atomic").mutator_factory is None
 
 
-def _first_compromise_case(kind: str, n: int, t: int) -> int:
-    """First fixed-seed case whose fault plan compromises a party, so the
-    batch-frame mutator is guaranteed to be on the wire."""
-    for i in range(200):
-        seed = case_seed_for(BATCH_SEED, kind, n, t, i)
-        if any(d.kind == "compromise" for d in plan_from_seed(seed, n, t)):
-            return seed
-    raise AssertionError("no compromise plan among 200 cases")  # pragma: no cover
-
-
 @pytest.mark.parametrize("kind", BATCHED_KINDS)
 def test_batched_survives_compromised_party(kind, group4):
-    seed = _first_compromise_case(kind, 4, 1)
-    result = run_case(make_scenario(kind), 4, 1, seed, group=group4)
+    # a plan that compromises a party puts the batch-frame mutator on the wire
+    seed = first_case(BATCH_SEED, kind, 4, 1, lambda p: any(d.kind == "compromise" for d in p))
+    result = run(Case("fuzz", kind, seed=seed), group=group4)
     assert result.ok, result.error
 
 
@@ -179,22 +167,14 @@ def _buggy_batched_scenario() -> ChannelScenario:
     )
 
 
-def _first_case_with_party0_nonfaulty(kind: str, n: int, t: int) -> int:
-    """First fixed-seed case whose plan leaves party 0 honest and alive —
-    the infected replica must be inside the invariant's checked set."""
-    for i in range(200):
-        seed = case_seed_for(BATCH_SEED, kind, n, t, i)
-        plan = plan_from_seed(seed, n, t)
-        if not any(
-            d.kind in ("crash", "compromise") and d.params[0] == 0 for d in plan
-        ):
-            return seed
-    raise AssertionError("party 0 faulty in 200 plans")  # pragma: no cover
-
-
 def test_batch_suborder_bug_is_caught_shrunk_and_replayable(group4):
-    seed = _first_case_with_party0_nonfaulty("batched", 4, 1)
-    result = run_case(_buggy_batched_scenario(), 4, 1, seed, group=group4)
+    # the infected replica 0 must stay honest and alive, inside the
+    # invariant's checked set
+    seed = first_case(BATCH_SEED, "batched", 4, 1, lambda p: not any(
+        d.kind in ("crash", "compromise") and d.params[0] == 0 for d in p
+    ))
+    case = Case("fuzz", "batched", seed=seed)
+    result = run(case, scenario=_buggy_batched_scenario(), group=group4)
     assert not result.ok
     assert "invariant violated" in result.error
     assert "total-order" in result.error
@@ -202,18 +182,14 @@ def test_batch_suborder_bug_is_caught_shrunk_and_replayable(group4):
     # Batching happens with no faults at all (later submissions queue
     # behind the in-flight round), so the bug is fault-independent and the
     # shrunk counterexample is the bare seed.
-    shrunk = shrink_case(
-        _buggy_batched_scenario(), 4, 1, seed, group=group4, first_failure=result
-    )
+    shrunk = shrink(result, scenario=_buggy_batched_scenario(), group=group4)
     assert not shrunk.ok
-    assert shrunk.kept == []
+    assert shrunk.case.keep == ()
     assert "FUZZ-REPRO" in shrunk.repro_line()
-    assert hex(seed) in shrunk.replay_command()
+    assert hex(case.seed) in shrunk.replay_command()
 
-    replay = run_case(
-        _buggy_batched_scenario(), 4, 1, seed, keep=shrunk.kept, group=group4
-    )
+    replay = run(shrunk.case, scenario=_buggy_batched_scenario(), group=group4)
     assert (replay.ok, replay.error) == (shrunk.ok, shrunk.error)
 
     # Sanity: the unmodified batched channel passes the same case.
-    assert run_case(make_scenario("batched"), 4, 1, seed, group=group4).ok
+    assert run(case, group=group4).ok

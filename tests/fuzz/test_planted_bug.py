@@ -17,14 +17,9 @@ import pytest
 
 from repro.core.agreement.binary import BinaryAgreement
 from repro.core.channel.atomic import AtomicChannel
-from repro.testing import (
-    AgreementScenario,
-    ChannelScenario,
-    case_seed_for,
-    plan_from_seed,
-    run_case,
-    shrink_case,
-)
+from repro.testing import Case, ChannelScenario, case_seed_for, run, shrink
+
+from tests.helpers import first_case
 
 #: Fixed root seed: these tests must find their counterexample at a known
 #: iteration, independent of --fuzz-seed (random.Random is stable across
@@ -59,77 +54,60 @@ def _buggy_atomic_scenario() -> ChannelScenario:
 
 
 def test_safety_bug_is_caught_shrunk_and_replayable(group4):
-    seed = case_seed_for(PLANTED_SEED, "atomic", 4, 1, 0)
-    result = run_case(_buggy_atomic_scenario(), 4, 1, seed, group=group4)
+    case = Case("fuzz", "atomic", seed=case_seed_for(PLANTED_SEED, "atomic", 4, 1, 0))
+    result = run(case, scenario=_buggy_atomic_scenario(), group=group4)
     assert not result.ok
     assert "invariant violated" in result.error
     assert "total-order" in result.error
 
     # The bug is fault-independent, so shrinking must strip the entire
     # fault plan: the minimal counterexample is the bare seed.
-    shrunk = shrink_case(
-        _buggy_atomic_scenario(), 4, 1, seed, group=group4, first_failure=result
-    )
+    shrunk = shrink(result, scenario=_buggy_atomic_scenario(), group=group4)
     assert not shrunk.ok
-    assert shrunk.kept == []
+    assert shrunk.case.keep == ()
     assert "--keep none" in shrunk.replay_command()
-    assert hex(seed) in shrunk.replay_command()
+    assert hex(case.seed) in shrunk.replay_command()
     assert "FUZZ-REPRO" in shrunk.repro_line()
 
     # The repro line's (seed, keep) pair replays the exact failure.
-    replay = run_case(
-        _buggy_atomic_scenario(), 4, 1, seed, keep=shrunk.kept, group=group4
-    )
+    replay = run(shrunk.case, scenario=_buggy_atomic_scenario(), group=group4)
     assert (replay.ok, replay.error) == (shrunk.ok, shrunk.error)
 
     # Sanity: the same case on the unmodified protocol stays green.
-    assert run_case(ChannelScenario("atomic"), 4, 1, seed, group=group4).ok
+    assert run(case, group=group4).ok
 
 
-def _first_crash_case(n: int, t: int) -> int:
-    """First planted-seed case whose plan includes a crashed party.
-
-    A crashed party never proposes in :class:`AgreementScenario`, so with
-    the planted ``n - t + 1`` quorum *any* crash starves the vote count
-    and the protocol stalls, whatever the crash time.
-    """
-    for i in range(50):
-        seed = case_seed_for(PLANTED_SEED, "binary", n, t, i)
-        if any(d.kind == "crash" for d in plan_from_seed(seed, n, t)):
-            return seed
-    raise AssertionError("no crash plan among 50 cases")  # pragma: no cover
-
-
-def test_quorum_offbyone_stalls_and_is_caught(group4, monkeypatch):
-    seed = _first_crash_case(4, 1)
-
-    # Sanity first: with the correct n - t quorum the case passes.
-    assert run_case(AgreementScenario("binary"), 4, 1, seed, group=group4).ok
-
+def plant_quorum_offbyone(monkeypatch) -> None:
+    """Binary agreement waits for ``n - t + 1`` votes instead of ``n - t``."""
     monkeypatch.setattr(
         BinaryAgreement,
         "_quorum",
         property(lambda self: self.ctx.n - self.ctx.t + 1),  # BUG
     )
-    result = run_case(
-        AgreementScenario("binary"), 4, 1, seed, group=group4, time_limit=60.0
-    )
+
+
+def test_quorum_offbyone_stalls_and_is_caught(group4, monkeypatch):
+    # A crashed party never proposes in AgreementScenario, so with the
+    # planted n - t + 1 quorum *any* crash starves the vote count and the
+    # protocol stalls, whatever the crash time.
+    seed = first_case(PLANTED_SEED, "binary", 4, 1, lambda p: any(d.kind == "crash" for d in p))
+    case = Case("fuzz", "binary", seed=seed, time_limit=60.0)
+
+    # Sanity first: with the correct n - t quorum the case passes.
+    assert run(case, group=group4).ok
+
+    plant_quorum_offbyone(monkeypatch)
+    result = run(case, group=group4)
     assert not result.ok
     assert result.error.startswith("liveness")
 
     # Shrinking keeps the crash (the trigger) and discards the noise.
-    shrunk = shrink_case(
-        AgreementScenario("binary"), 4, 1, seed,
-        group=group4, time_limit=60.0, first_failure=result,
-    )
+    shrunk = shrink(result, group=group4)
     assert not shrunk.ok
     kinds = [d.kind for d in shrunk.directives]
     assert kinds == ["crash"], f"expected the crash alone to survive, got {kinds}"
 
-    replay = run_case(
-        AgreementScenario("binary"), 4, 1, seed,
-        keep=shrunk.kept, group=group4, time_limit=60.0,
-    )
+    replay = run(shrunk.case, group=group4)
     assert not replay.ok
     assert replay.error.startswith("liveness")
     assert "--keep" in shrunk.replay_command()

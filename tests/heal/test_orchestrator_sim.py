@@ -18,11 +18,12 @@ import pytest
 from repro.heal.evidence import EV_EQUIVOCATION, Evidence, SuspicionScorer
 from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
-from repro.heal.scenario import CounterMachine, heal_group, run_heal_case
+from repro.heal.scenario import CounterMachine, run_heal_case
 from repro.membership.epoch import EpochKeychain
 from repro.membership.service import ReconfigurableService
 from repro.obs.export import make_record
 from repro.obs.recorder import MemoryRecorder
+from repro.testing.case import Case
 
 from tests.helpers import sim_runtime
 
@@ -38,14 +39,16 @@ def test_closed_loop_doublevote_pinned_case(tmp_path):
     and the evicted replica's pre-refresh shares are rejected."""
     obs = MemoryRecorder()
     result = run_heal_case(
-        "doublevote", PINNED_CASE, str(tmp_path), recorder=obs
+        Case("heal", "heal", "doublevote", seed=PINNED_CASE), str(tmp_path),
+        recorder=obs,
     )
     assert result.ok, result.repro_line()
-    assert result.detected and result.replaced
-    assert result.digests_agree and result.stale_share_rejected
-    assert result.final_epoch >= 1
-    replaced = [h for h in result.heals if h["outcome"] == "replaced"]
-    assert any(h["slot"] == result.victim for h in replaced)
+    flags = result.details
+    assert flags["detected"] and flags["replaced"]
+    assert flags["digests_agree"] and flags["stale_share_rejected"]
+    assert flags["final_epoch"] >= 1
+    replaced = [h for h in result.dump["heals"] if h["outcome"] == "replaced"]
+    assert any(h["slot"] == result.case.adversaries[0] for h in replaced)
 
     # the whole loop is observable: one BENCH record carries the story.
     record = make_record(

@@ -7,6 +7,7 @@ from typing import Any, Callable, List, Tuple
 from repro.core.protocol import Context, Router
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
+from repro.testing.schedule import case_seed_for, plan_from_seed
 
 
 class LocalFuture:
@@ -117,3 +118,13 @@ def no_errors(rt):
     """Assert no handler raised during an honest run."""
     errors = rt.router_errors()
     assert not errors, f"handler errors in honest run: {errors[:5]}"
+
+
+def first_case(root_seed: int, scenario: str, n: int, t: int, wanted: Callable) -> int:
+    """The first fuzz case seed under ``root_seed`` whose fault plan
+    satisfies ``wanted(plan)`` (a plan is a list of directives)."""
+    for i in range(200):
+        seed = case_seed_for(root_seed, scenario, n, t, i)
+        if wanted(plan_from_seed(seed, n, t)):
+            return seed
+    raise AssertionError(f"no {scenario} plan among 200 cases fits")  # pragma: no cover

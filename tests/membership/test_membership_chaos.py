@@ -18,7 +18,6 @@ exports its ``membership.*`` counters through the BENCH pipeline.
 
 import asyncio
 import json
-import os
 
 import pytest
 
@@ -41,18 +40,6 @@ NODE_KWARGS = dict(
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/membership/test_membership_chaos.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _replicas(fabric, group, tmp_path):
@@ -126,7 +113,7 @@ def _old_share_rejected(keychain, roster):
     )
 
 
-def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
+def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path, chaos_repro):
     """SIGKILL replica 3 mid-load, replace its slot through the total
     order, onboard a brand-new successor process at epoch 1."""
 
@@ -228,7 +215,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
         assert out["recorder0"].counters["membership.reshare.epochs"] >= 1
         assert out["recorder3"].counters["recovery.transfer.adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_rolling_replacement_under_chaos", fuzz_seed))
+        chaos_repro()
         raise
 
     # Export the run's membership counters through the BENCH pipeline.
@@ -256,7 +243,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
     } <= membership_counters
 
 
-def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path):
+def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path, chaos_repro):
     """Static group, stalling sockets, a share refresh mid-stream: no
     command is dropped and every replica lands at epoch 1, same digest."""
 
@@ -295,5 +282,5 @@ def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path):
         assert len(set(out["digests"])) == 1
         assert len(out["members"]) == 1  # the roster did not change
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_proactive_refresh_under_chaos", fuzz_seed))
+        chaos_repro()
         raise

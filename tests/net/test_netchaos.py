@@ -2,13 +2,12 @@
 
 The heavyweight end-to-end cases are marked ``chaos`` so CI can run them
 as a dedicated smoke job with a pinned seed; they also run in tier-1.
-On failure each case prints (and, when ``CHAOS_REPRO_FILE`` is set,
+On failure each case prints (and, when ``REPRO_FILE`` is set,
 appends) a ``CHAOS-REPRO`` line pinning the campaign seed, mirroring the
 fuzz tier's repro artifacts.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -21,18 +20,6 @@ from tests.conftest import cached_group
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/net/test_netchaos.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 async def _drain(channel, count):
@@ -115,7 +102,7 @@ def test_proxy_blackhole_rejects_new_connections():
 
 
 @pytest.mark.chaos
-def test_atomic_broadcast_survives_socket_chaos(fuzz_seed):
+def test_atomic_broadcast_survives_socket_chaos(fuzz_seed, chaos_repro):
     """Resets + stalls + corruption between real TcpNodes: every honest
     party still delivers the identical sequence with zero frame loss, and
     the reconnect/retransmission counters prove the resilience path ran."""
@@ -148,7 +135,7 @@ def test_atomic_broadcast_survives_socket_chaos(fuzz_seed):
     try:
         sequences, stats, injected = _run(body())
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_atomic_broadcast_survives_socket_chaos", fuzz_seed))
+        chaos_repro()
         raise
     # total order and zero loss at the channel layer
     assert all(seq == sequences[0] for seq in sequences)
@@ -162,7 +149,7 @@ def test_atomic_broadcast_survives_socket_chaos(fuzz_seed):
 
 
 @pytest.mark.chaos
-def test_recovery_after_peer_connections_killed_midrun(fuzz_seed):
+def test_recovery_after_peer_connections_killed_midrun(fuzz_seed, chaos_repro):
     """Kill and blackhole one peer's connections mid-broadcast, then heal:
     the supervisors reconnect, sessions resume, all parties converge."""
 
@@ -203,7 +190,7 @@ def test_recovery_after_peer_connections_killed_midrun(fuzz_seed):
     try:
         sequences, reconnects = _run(body())
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_recovery_after_peer_connections_killed_midrun", fuzz_seed))
+        chaos_repro()
         raise
     assert all(seq == sequences[0] for seq in sequences)
     expected = sorted(
@@ -216,7 +203,7 @@ def test_recovery_after_peer_connections_killed_midrun(fuzz_seed):
 
 
 @pytest.mark.chaos
-def test_remaining_three_deliver_after_one_peer_dies(fuzz_seed):
+def test_remaining_three_deliver_after_one_peer_dies(fuzz_seed, chaos_repro):
     """Killing one of 4 peers outright (its node stops, its links go
     down) still lets the remaining n - t = 3 deliver."""
 
@@ -253,7 +240,7 @@ def test_remaining_three_deliver_after_one_peer_dies(fuzz_seed):
     try:
         sequences, states = _run(body())
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_remaining_three_deliver_after_one_peer_dies", fuzz_seed))
+        chaos_repro()
         raise
     assert all(seq == sequences[0] for seq in sequences)
     assert sorted(sequences[0]) == sorted(b"alive-%d" % k for k in range(total))

@@ -13,7 +13,6 @@ Failures print a ``CHAOS-REPRO`` line pinning the seed.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -44,18 +43,6 @@ TOTAL = len(PHASE1) + len(BURST)
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/recovery/test_recovery_batched.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _replicas(fabric, group, tmp_path):
@@ -94,7 +81,7 @@ async def _stop_all(replicas, fabric):
 
 
 @pytest.mark.recovery
-def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
+def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path, chaos_repro):
     async def body():
         plan = SocketChaosPlan(stall_prob=0.05, stall_s=0.01)
         fabric = ChaosFabric(4, plan, seed=fuzz_seed)
@@ -185,7 +172,5 @@ def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
         assert out["batch_sizes"] and max(out["batch_sizes"]) > 1
         assert out["adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro(
-            "test_kill_mid_batch_catches_up_to_identical_digest", fuzz_seed
-        ))
+        chaos_repro()
         raise

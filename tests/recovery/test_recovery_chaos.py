@@ -36,18 +36,6 @@ def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
 
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/recovery/test_recovery_chaos.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
-
-
 def _replicas(fabric, group, tmp_path):
     return [
         ReplicaProcess(
@@ -84,7 +72,7 @@ async def _stop_all(replicas, fabric):
 
 
 @pytest.mark.recovery
-def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
+def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path, chaos_repro):
     """Kill replica 3 mid-stream (total in-memory loss), keep the group
     ordering, restart it, and require byte-identical state digests."""
 
@@ -162,7 +150,7 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
         assert out["recorder0"].counters["recovery.transfer.served"] >= 1
         assert out["recorder3"].counters["recovery.transfer.adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_killed_replica_catches_up_to_identical_digest", fuzz_seed))
+        chaos_repro()
         raise
 
     # Export the run's recovery counters through the BENCH pipeline.
@@ -187,7 +175,7 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
 
 
 @pytest.mark.recovery
-def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path):
+def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path, chaos_repro):
     """A wiped replica (no disk left at all) recovering next to a
     Byzantine peer: the forged response is rejected, the honest quorum's
     is adopted."""
@@ -244,7 +232,5 @@ def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path)
         assert out["rejected"] >= 1  # the forged response was refused
         assert out["adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro(
-            "test_byzantine_transfer_rejected_wiped_replica_recovers", fuzz_seed
-        ))
+        chaos_repro()
         raise
