@@ -19,6 +19,8 @@ from conftest import emit
 
 
 class Pinger(Protocol):
+    schemas = {"ping": str, "pong": str}  # the ping tag
+
     def __init__(self, ctx):
         super().__init__(ctx, "ping")
         self.rtts = {}

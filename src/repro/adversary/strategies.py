@@ -49,9 +49,11 @@ from repro.core.agreement.binary import (
     MSG_DECIDE,
     MSG_MAINVOTE,
     MSG_PREVOTE,
+    BinaryAgreement,
     mainvote_string,
     prevote_string,
 )
+from repro.core.schema import conforms
 from repro.crypto.threshold_sig import combine_optimistically
 
 #: ``(dst, pid, mtype, payload)`` — one concrete send decided by a strategy.
@@ -356,17 +358,15 @@ class DoubleVoteAdversary(Strategy):
         self._shares.setdefault((pid, kind, r, b), {})[index] = share
 
     def observe(self, sender: int, pid: str, mtype: str, payload: Any) -> None:
-        if mtype not in (MSG_PREVOTE, MSG_MAINVOTE):
+        # Observers see every message before the router's schema check.
+        if mtype not in (MSG_PREVOTE, MSG_MAINVOTE) or not self._shaped(mtype, payload):
             return
-        try:
-            r, v, _just, proof, share = payload
-        except (TypeError, ValueError):
-            return
-        if not (isinstance(r, int) and r >= 1 and v in (0, 1)):
+        r, v, _just, proof, share = payload
+        if v not in (0, 1):
             return
         kind = "pre" if mtype == MSG_PREVOTE else "main"
         self._record(pid, kind, r, v, share)
-        if isinstance(proof, bytes):
+        if proof is not None:
             self._proofs.setdefault((pid, v), proof)
 
     def _combine(self, pid: str, kind: str, r: int, b: int) -> Optional[bytes]:
@@ -394,17 +394,17 @@ class DoubleVoteAdversary(Strategy):
     def outbound_broadcast(
         self, pid: str, mtype: str, payload: Any
     ) -> Optional[List[Action]]:
-        if mtype == MSG_PREVOTE and self._vote_shaped(payload):
+        if mtype == MSG_PREVOTE and self._shaped(mtype, payload):
             return self._split(pid, mtype, payload, self._prevote_version)
-        if mtype == MSG_MAINVOTE and self._vote_shaped(payload):
+        if mtype == MSG_MAINVOTE and self._shaped(mtype, payload):
             return self._split(pid, mtype, payload, self._mainvote_version)
-        if mtype == MSG_DECIDE and isinstance(payload, tuple) and len(payload) == 4:
+        if mtype == MSG_DECIDE and self._shaped(mtype, payload):
             return self._split(pid, mtype, payload, self._decide_version)
         return None
 
     @staticmethod
-    def _vote_shaped(payload: Any) -> bool:
-        return isinstance(payload, tuple) and len(payload) == 5
+    def _shaped(mtype: str, payload: Any) -> bool:
+        return conforms(BinaryAgreement.schemas[mtype], payload)
 
     def _split(self, pid: str, mtype: str, payload: Any, version: Any) -> List[Action]:
         half_a, half_b = self.halves()
@@ -424,13 +424,9 @@ class DoubleVoteAdversary(Strategy):
         # receiving instance discards the message), keeping every
         # colluder's decide-forgery pool at quorum strength.
         extra: List[Any] = []
-        if mtype == MSG_MAINVOTE and self._vote_shaped(payload):
+        if mtype == MSG_MAINVOTE:
             r = payload[0]
-            if isinstance(r, int) and r >= 1:
-                extra = [
-                    (r, bit, None, None, self._sign(pid, "main", r, bit))
-                    for bit in (0, 1)
-                ]
+            extra = [(r, bit, None, None, self._sign(pid, "main", r, bit)) for bit in (0, 1)]
         for dst in sorted(self.adversaries):
             for bit in (0, 1):
                 if versions[bit] is not None and (

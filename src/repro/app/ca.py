@@ -31,6 +31,7 @@ from repro.app.replication import ReplicatedService, StateMachine
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
 from repro.core.party import Party
+from repro.core.schema import ListOf, conforms
 from repro.crypto.dealer import PartyCrypto
 from repro.crypto.threshold_sig import ThresholdSignatureScheme
 
@@ -125,18 +126,12 @@ class CARegistry(StateMachine):
 
     def restore(self, snapshot: bytes) -> None:
         entries = decode(snapshot)
-        if not isinstance(entries, list):
-            raise EncodingError("ca snapshot must be a list")
-        registry: Dict[bytes, Tuple[bytes, int, bool]] = {}
-        for entry in entries:
-            if not (isinstance(entry, tuple) and len(entry) == 4):
-                raise EncodingError("ca snapshot entry malformed")
-            name, pubkey, serial, revoked = entry
-            if not (isinstance(name, bytes) and isinstance(pubkey, bytes)
-                    and isinstance(serial, int) and isinstance(revoked, bool)):
-                raise EncodingError("ca snapshot entry malformed")
-            registry[name] = (pubkey, serial, revoked)
-        self.registry = registry
+        # (name, pubkey, serial, revoked) per certificate
+        if not conforms(ListOf((bytes, bytes, int, bool)), entries):
+            raise EncodingError("ca snapshot malformed")
+        self.registry = {
+            name: (pubkey, serial, revoked) for name, pubkey, serial, revoked in entries
+        }
 
 
 class ReplicatedCA(ReplicatedService):

@@ -22,6 +22,7 @@ from repro.app.replication import ReplicatedService, StateMachine
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
 from repro.core.party import Party
+from repro.core.schema import ListOf, conforms
 
 
 class KVStore(StateMachine):
@@ -85,15 +86,9 @@ class KVStore(StateMachine):
 
     def restore(self, snapshot: bytes) -> None:
         items = decode(snapshot)
-        if not isinstance(items, list):
-            raise EncodingError("kvstore snapshot must be a list of pairs")
-        data: Dict[bytes, bytes] = {}
-        for item in items:
-            if not (isinstance(item, tuple) and len(item) == 2
-                    and isinstance(item[0], bytes) and isinstance(item[1], bytes)):
-                raise EncodingError("kvstore snapshot entry malformed")
-            data[item[0]] = item[1]
-        self.data = data
+        if not conforms(ListOf((bytes, bytes)), items):
+            raise EncodingError("kvstore snapshot must be a list of (key, value) pairs")
+        self.data = dict(items)
 
 
 class ReplicatedKVStore(ReplicatedService):

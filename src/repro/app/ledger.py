@@ -26,6 +26,7 @@ from repro.app.replication import ReplicatedService, StateMachine
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
 from repro.core.party import Party
+from repro.core.schema import ListOf, conforms
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
 
 SIGN_DOMAIN = "sintra.ledger"
@@ -139,19 +140,13 @@ class Ledger(StateMachine):
 
     def restore(self, snapshot: bytes) -> None:
         entries = decode(snapshot)
-        if not isinstance(entries, list):
-            raise EncodingError("ledger snapshot must be a list")
-        accounts: Dict[bytes, Tuple[Tuple[int, int], int, int]] = {}
-        for entry in entries:
-            if not (isinstance(entry, tuple) and len(entry) == 5):
-                raise EncodingError("ledger snapshot entry malformed")
-            account, key_n, key_e, balance, nonce = entry
-            if not (isinstance(account, bytes) and isinstance(key_n, int)
-                    and isinstance(key_e, int) and isinstance(balance, int)
-                    and isinstance(nonce, int)):
-                raise EncodingError("ledger snapshot entry malformed")
-            accounts[account] = ((key_n, key_e), balance, nonce)
-        self.accounts = accounts
+        # (account, key_n, key_e, balance, nonce) per account
+        if not conforms(ListOf((bytes, int, int, int, int)), entries):
+            raise EncodingError("ledger snapshot malformed")
+        self.accounts = {
+            account: ((key_n, key_e), balance, nonce)
+            for account, key_n, key_e, balance, nonce in entries
+        }
 
 
 class ReplicatedLedger(ReplicatedService):

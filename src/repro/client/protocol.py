@@ -30,6 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
+from repro.core.schema import NAT, OneOf, conforms
 
 #: envelope tag distinguishing client requests from raw service commands
 ENVELOPE_TAG = "sintra-req"
@@ -44,6 +45,16 @@ STATUS_OVERLOADED = 1
 MSG_HELLO = "chl"  # ("chl", client_id)
 MSG_REQUEST = "crq"  # ("crq", client_id, seq, command)
 MSG_REPLY = "crp"  # ("crp", seq, status, result, epoch, roster_digest)
+
+HELLO_FRAME = (OneOf(MSG_HELLO), str)  # (kind, client_id)
+#: a request's identity and command: ``(client_id, seq, command)``
+REQUEST = (str, NAT, bytes)
+ENVELOPE = (OneOf(ENVELOPE_TAG), *REQUEST)
+REQUEST_FRAME = (OneOf(MSG_REQUEST), *REQUEST)
+#: the pre-membership reply ``(kind, seq, status, result)``
+LEGACY_REPLY_FRAME = (OneOf(MSG_REPLY), NAT, OneOf(STATUS_OK, STATUS_OVERLOADED), bytes)
+#: the reply advertising the replica's ``(epoch, roster_digest)`` view
+REPLY_FRAME = (*LEGACY_REPLY_FRAME, NAT, bytes)
 
 
 def make_envelope(client_id: str, seq: int, command: bytes) -> bytes:
@@ -62,14 +73,7 @@ def parse_envelope(data: bytes) -> Optional[Tuple[str, int, bytes]]:
         parsed = decode(data)
     except EncodingError:
         return None
-    if not (isinstance(parsed, tuple) and len(parsed) == 4
-            and parsed[0] == ENVELOPE_TAG):
-        return None
-    _tag, client_id, seq, command = parsed
-    if not (isinstance(client_id, str) and isinstance(seq, int) and seq >= 0
-            and isinstance(command, bytes)):
-        return None
-    return client_id, seq, command
+    return parsed[1:] if conforms(ENVELOPE, parsed) else None
 
 
 class ReplyVote:
@@ -126,14 +130,7 @@ class ReplyVote:
 
 def check_request_frame(fields: Any) -> Optional[Tuple[str, int, bytes]]:
     """Validate a decoded ``MSG_REQUEST`` tuple from the wire."""
-    if not (isinstance(fields, tuple) and len(fields) == 4
-            and fields[0] == MSG_REQUEST):
-        return None
-    _kind, client_id, seq, command = fields
-    if not (isinstance(client_id, str) and isinstance(seq, int) and seq >= 0
-            and isinstance(command, bytes)):
-        return None
-    return client_id, seq, command
+    return fields[1:] if conforms(REQUEST_FRAME, fields) else None
 
 
 def check_reply_frame(fields: Any) -> Optional[Tuple[int, int, bytes, int, bytes]]:
@@ -146,18 +143,8 @@ def check_reply_frame(fields: Any) -> Optional[Tuple[int, int, bytes, int, bytes
     pre-membership 4-field frame is still accepted and reads as the
     static view ``(0, b"")``.
     """
-    if not (isinstance(fields, tuple) and len(fields) in (4, 6)
-            and fields[0] == MSG_REPLY):
-        return None
-    _kind, seq, status, result = fields[:4]
-    if not (isinstance(seq, int) and seq >= 0
-            and status in (STATUS_OK, STATUS_OVERLOADED)
-            and isinstance(result, bytes)):
-        return None
-    epoch, digest = 0, b""
-    if len(fields) == 6:
-        epoch, digest = fields[4], fields[5]
-        if not (isinstance(epoch, int) and epoch >= 0
-                and isinstance(digest, bytes)):
-            return None
-    return seq, status, result, epoch, digest
+    if conforms(REPLY_FRAME, fields):
+        return fields[1:]
+    if conforms(LEGACY_REPLY_FRAME, fields):
+        return (*fields[1:], 0, b"")
+    return None

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.client.client import SintraClient
 from repro.client.protocol import (
+    HELLO_FRAME,
     MSG_HELLO,
     MSG_REPLY,
     MSG_REQUEST,
@@ -43,6 +44,7 @@ from repro.client.server import RequestServer
 from repro.common import rng as rng_mod
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
+from repro.core.schema import conforms
 from repro.net.tcp import _LEN, MAX_FRAME, AsyncFuture, BackoffPolicy
 from repro.obs import recorder as _recorder
 
@@ -108,8 +110,7 @@ class TcpRequestListener:
         send_reply = None
         try:
             hello = await _read_frame(reader)
-            if not (isinstance(hello, tuple) and len(hello) == 2
-                    and hello[0] == MSG_HELLO and isinstance(hello[1], str)):
+            if not conforms(HELLO_FRAME, hello):
                 return
             client_id = hello[1]
 

@@ -44,12 +44,13 @@ exactly as the paper states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.encoding import encode
-from repro.common.errors import CryptoError, InvalidShare, ProtocolError
+from repro.common.encoding import decode, encode
+from repro.common.errors import EncodingError, InvalidShare, ProtocolError
 from repro.core.agreement.base import Agreement
 from repro.core.protocol import Context
+from repro.core.schema import ANY, POS, ListOf, Maybe, OneOf, conforms
 from repro.crypto.threshold_sig import combine_optimistically
 
 ABSTAIN = 2
@@ -58,6 +59,14 @@ MSG_PREVOTE = "pre-vote"
 MSG_MAINVOTE = "main-vote"
 MSG_COIN = "coin"
 MSG_DECIDE = "decide"
+
+BIT = OneOf(0, 1)
+#: justifications, whose shape depends on the round and value: a hard
+#: pre-vote's signature, a soft one's abstain signature and coin shares,
+#: and an abstain main-vote's two pre-votes ``(b, just, proof, share)``
+HARD_JUST = (OneOf("hard"), bytes)
+SOFT_JUST = (OneOf("soft"), bytes, ListOf(bytes))
+ABSTAIN_JUST = ((BIT, ANY, Maybe(bytes), bytes), (BIT, ANY, Maybe(bytes), bytes))
 
 #: ``validator(value, proof) -> bool`` — the external-validity predicate.
 BinaryValidator = Callable[[int, Optional[bytes]], bool]
@@ -116,6 +125,13 @@ class BinaryAgreement(Agreement):
     protocol always decides the preferred value when it detects that an
     honest party proposed it).
     """
+
+    schemas = {
+        MSG_PREVOTE: (POS, BIT, ANY, Maybe(bytes), bytes),  # (r, b, just, proof, share)
+        MSG_MAINVOTE: (POS, OneOf(0, 1, ABSTAIN), ANY, Maybe(bytes), bytes),
+        MSG_COIN: (POS, bytes),  # (r, share)
+        MSG_DECIDE: (POS, BIT, bytes, Maybe(bytes)),  # (r, b, sig, proof)
+    }
 
     def __init__(
         self,
@@ -206,16 +222,12 @@ class BinaryAgreement(Agreement):
 
     def _on_prevote(self, sender: int, payload: Any) -> None:
         r, b, just, proof, share = payload
-        if not (isinstance(r, int) and r >= 1 and b in (0, 1)):
-            return
         state = self._state(r)
         if sender in state.prevotes or sender in state.banned:
             return  # only the first pre-vote per sender counts
         if not self._valid_prevote(r, b, just, proof):
             return
         scheme = self._scheme()
-        if not isinstance(share, bytes):
-            return
         try:
             if scheme.share_index(share) != sender + 1:
                 return
@@ -237,38 +249,31 @@ class BinaryAgreement(Agreement):
         if r == self.round:
             self._check_prevotes()
 
-    def _valid_prevote(self, r: int, b: int, just: Any, proof: Any) -> bool:
+    def _valid_prevote(self, r: int, b: int, just: Any, proof: Optional[bytes]) -> bool:
         """Check a pre-vote's justification (and external validity)."""
-        if proof is not None and not isinstance(proof, bytes):
-            return False
         if not self.validator(b, proof):
             return False
         if r == 1:
             return just is None
         scheme = self._scheme()
         accel = self.ctx.crypto.accel
-        if isinstance(just, tuple) and len(just) == 2 and just[0] == "hard":
-            sig = just[1]
-            return isinstance(sig, bytes) and accel.sig_ok(
-                scheme, prevote_string(self.pid, r - 1, b), sig
-            )
-        if isinstance(just, tuple) and len(just) == 3 and just[0] == "soft":
+        if conforms(HARD_JUST, just):
+            return accel.sig_ok(scheme, prevote_string(self.pid, r - 1, b), just[1])
+        if conforms(SOFT_JUST, just):
             _, abstain_sig, coin_shares = just
-            if not isinstance(abstain_sig, bytes) or not accel.sig_ok(
+            if not accel.sig_ok(
                 scheme, mainvote_string(self.pid, r - 1, ABSTAIN), abstain_sig
             ):
                 return False
             return self._coin_matches(r - 1, b, coin_shares)
         return False
 
-    def _coin_matches(self, r: int, b: int, coin_shares: Any) -> bool:
+    def _coin_matches(self, r: int, b: int, coin_shares: List[bytes]) -> bool:
         """Does round ``r``'s coin, established by ``coin_shares``, equal ``b``?"""
         if self.bias is not None and r == 1:
             return b == self.bias  # the biased round needs no coin at all
         coin = self.ctx.crypto.coin
         name = coin_name(self.pid, r)
-        if not isinstance(coin_shares, (list, tuple)):
-            return False
         accel = self.ctx.crypto.accel
         valid: Dict[int, bytes] = {}
         if accel.batch:
@@ -276,19 +281,17 @@ class BinaryAgreement(Agreement):
             # random-linear-combination batch.
             candidates: Dict[int, bytes] = {}
             for cs in coin_shares:
-                if not isinstance(cs, bytes):
-                    continue
                 try:
                     candidates.setdefault(_coin_share_index(cs), cs)
-                except (CryptoError, InvalidShare):
+                except InvalidShare:
                     continue
             valid, _bad = accel.coin_quorum(coin, name, candidates)
         else:
             for cs in coin_shares:
-                if isinstance(cs, bytes) and self._coin_share_ok(r, name, cs):
+                if self._coin_share_ok(r, name, cs):
                     try:
                         valid[_coin_share_index(cs)] = cs
-                    except (CryptoError, InvalidShare):
+                    except InvalidShare:
                         continue
                 if len(valid) >= coin.k:
                     break
@@ -349,16 +352,12 @@ class BinaryAgreement(Agreement):
 
     def _on_mainvote(self, sender: int, payload: Any) -> None:
         r, v, just, proof, share = payload
-        if not (isinstance(r, int) and r >= 1 and v in (0, 1, ABSTAIN)):
-            return
         state = self._state(r)
         if sender in state.mainvotes or sender in state.banned:
             return
         if not self._valid_mainvote(r, v, just, proof):
             return
         scheme = self._scheme()
-        if not isinstance(share, bytes):
-            return
         try:
             if scheme.share_index(share) != sender + 1:
                 return
@@ -379,34 +378,25 @@ class BinaryAgreement(Agreement):
         if r == self.round:
             self._check_mainvotes()
 
-    def _valid_mainvote(self, r: int, v: int, just: Any, proof: Any) -> bool:
+    def _valid_mainvote(self, r: int, v: int, just: Any, proof: Optional[bytes]) -> bool:
         scheme = self._scheme()
-        if v in (0, 1):
-            if proof is not None and not isinstance(proof, bytes):
-                return False
+        if v != ABSTAIN:
             if not self.validator(v, proof):
                 return False
             return isinstance(just, bytes) and self.ctx.crypto.accel.sig_ok(
                 scheme, prevote_string(self.pid, r, v), just
             )
         # Abstain: embed one justified pre-vote for 0 and one for 1.
-        if not (isinstance(just, tuple) and len(just) == 2):
+        if not conforms(ABSTAIN_JUST, just) or just[0][0] == just[1][0]:
             return False
-        seen: Set[int] = set()
-        for entry in just:
-            if not (isinstance(entry, tuple) and len(entry) == 4):
-                return False
-            b, pv_just, pv_proof, pv_share = entry
-            if b not in (0, 1) or b in seen:
-                return False
-            seen.add(b)
+        for b, pv_just, pv_proof, pv_share in just:
             if not self._valid_prevote(r, b, pv_just, pv_proof):
                 return False
-            if not isinstance(pv_share, bytes) or not self.ctx.crypto.accel.sig_share_ok(
+            if not self.ctx.crypto.accel.sig_share_ok(
                 scheme, prevote_string(self.pid, r, b), pv_share
             ):
                 return False
-        return seen == {0, 1}
+        return True
 
     def _check_mainvotes(self) -> None:
         r = self.round
@@ -443,8 +433,6 @@ class BinaryAgreement(Agreement):
 
     def _on_coin(self, sender: int, payload: Any) -> None:
         r, share = payload
-        if not (isinstance(r, int) and r >= 1 and isinstance(share, bytes)):
-            return
         state = self._state(r)
         if sender in state.coin_shares:
             return
@@ -523,13 +511,9 @@ class BinaryAgreement(Agreement):
 
     def _on_decide(self, sender: int, payload: Any) -> None:
         r, b, sig, proof = payload
-        if not (isinstance(r, int) and r >= 1 and b in (0, 1)):
-            return
-        if proof is not None and not isinstance(proof, bytes):
-            return
         if not self.validator(b, proof):
             return
-        if not isinstance(sig, bytes) or not self.ctx.crypto.accel.sig_ok(
+        if not self.ctx.crypto.accel.sig_ok(
             self._scheme(), mainvote_string(self.pid, r, b), sig
         ):
             return
@@ -549,11 +533,12 @@ class BinaryAgreement(Agreement):
 
 
 def _coin_share_index(share: bytes) -> int:
-    """Extract the 1-based holder index from an encoded coin share."""
-    from repro.common.encoding import decode
-
-    decoded = decode(share)
-    index = decoded[0]
-    if not isinstance(index, int):
+    """Extract the 1-based holder index from an encoded coin share,
+    ``(index, sigma, c, z)`` or, batch-verifiable, ``(index, sigma, a, b, z)``."""
+    try:
+        decoded = decode(share)
+    except EncodingError as exc:
+        raise InvalidShare("malformed coin share") from exc
+    if not (conforms((int,) * 4, decoded) or conforms((int,) * 5, decoded)):
         raise InvalidShare("malformed coin share")
-    return index
+    return decoded[0]

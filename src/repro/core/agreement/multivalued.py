@@ -50,6 +50,7 @@ from repro.core.broadcast.verifiable import (
     parse_closing,
 )
 from repro.core.protocol import Context
+from repro.core.schema import NAT, Maybe
 
 MSG_VOTE = "vote"
 MSG_ORDER_COIN = "ocoin"
@@ -106,6 +107,11 @@ class ArrayAgreement(Agreement):
     ``decide()`` resolves with ``(payload, closing)`` where ``closing`` is
     the winning proposal's VCBC closing message.
     """
+
+    schemas = {
+        MSG_VOTE: (NAT, bool, Maybe(bytes)),  # (iteration, yes, closing)
+        MSG_ORDER_COIN: bytes,  # a share of the ordering coin
+    }
 
     def __init__(
         self,
@@ -226,8 +232,6 @@ class ArrayAgreement(Agreement):
             self._early_votes.append((sender, payload))
             return
         iteration, has, closing = payload
-        if not isinstance(iteration, int) or iteration < 0:
-            return
         votes = self._votes.setdefault(iteration, {})
         if sender in votes:
             return
@@ -235,7 +239,7 @@ class ArrayAgreement(Agreement):
         if has:
             # A proper yes-vote hands over the proposal via its closing
             # message; an unverifiable yes-vote is improper and ignored.
-            if not isinstance(closing, bytes):
+            if closing is None:
                 return
             if a not in self._proposals:
                 if not self._vcbc[a].deliver_closing(closing):
@@ -250,8 +254,8 @@ class ArrayAgreement(Agreement):
         if iteration == self._iteration:
             self._check_votes()
 
-    def _on_order_coin(self, sender: int, share: Any) -> None:
-        if self.order is not None or not isinstance(share, bytes):
+    def _on_order_coin(self, sender: int, share: bytes) -> None:
+        if self.order is not None:
             return
         coin = self.ctx.crypto.coin
         name = self._order_coin_name()

@@ -31,6 +31,8 @@ MSG_READY = "ready"
 class ReliableBroadcast(Broadcast):
     """One instance of Bracha's reliable broadcast."""
 
+    schemas = {MSG_SEND: bytes, MSG_ECHO: bytes, MSG_READY: bytes}
+
     def __init__(self, ctx, basepid: str, sender: int):
         super().__init__(ctx, basepid, sender)
         self._echoes: Dict[bytes, Set[int]] = {}
@@ -51,7 +53,7 @@ class ReliableBroadcast(Broadcast):
     # -- receiving -------------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted or not isinstance(payload, bytes):
+        if self.halted:
             return
         if mtype == MSG_SEND:
             self._on_send(sender, payload)

@@ -19,16 +19,19 @@ terminates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.common.encoding import decode, encode
-from repro.common.errors import EncodingError, ProtocolError
+from repro.common.errors import EncodingError
 from repro.core.broadcast.base import Broadcast
 from repro.core.channel.base import Channel
 from repro.core.protocol import Context
+from repro.core.schema import OneOf, conforms
 
 KIND_APP = 0
 KIND_CLOSE = 1
+#: the payload of every aggregated broadcast instance: ``(kind, data)``
+FRAME = (OneOf(KIND_APP, KIND_CLOSE), bytes)
 
 
 def _frame(kind: int, data: bytes) -> bytes:
@@ -37,18 +40,18 @@ def _frame(kind: int, data: bytes) -> bytes:
 
 def _unframe(payload: bytes) -> Optional[Tuple[int, bytes]]:
     try:
-        kind, data = decode(payload)
-    except (EncodingError, ValueError, TypeError):
+        frame = decode(payload)
+    except EncodingError:
         return None
-    if kind not in (KIND_APP, KIND_CLOSE) or not isinstance(data, bytes):
-        return None
-    return kind, data
+    return frame if conforms(FRAME, frame) else None
 
 
 class BroadcastChannel(Channel):
     """Base of the reliable and consistent channels.
 
     Subclasses set :attr:`broadcast_cls` to the primitive to aggregate.
+    A virtual protocol: all traffic belongs to the broadcast instances,
+    so it declares no message types of its own.
     """
 
     broadcast_cls: Type[Broadcast] = Broadcast  # overridden
@@ -136,7 +139,3 @@ class BroadcastChannel(Channel):
             if not bc.halted:
                 bc.abort()
         self._terminate()
-
-    def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        # Virtual protocol: all traffic belongs to the broadcast instances.
-        raise ProtocolError(f"unexpected direct message {mtype!r} on channel")

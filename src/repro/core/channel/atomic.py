@@ -66,6 +66,7 @@ from repro.common.errors import EncodingError, ProtocolError
 from repro.core.agreement.multivalued import ORDER_RANDOM, ArrayAgreement
 from repro.core.channel.base import Channel
 from repro.core.protocol import Context
+from repro.core.schema import NAT, POS, ListOf, OneOf, conforms
 from repro.crypto.threshold_sig import MultiSignatureScheme
 
 MSG_QUEUE = "queue"   # candidate announcement: (r, vector, sig) / (r, digest, cert)
@@ -91,6 +92,10 @@ BODY_KEEP_ROUNDS = 32
 
 #: a candidate record: (origin, seq, kind, data)
 Record = Tuple[int, int, int, bytes]
+RECORD = (int, NAT, OneOf(KIND_APP, KIND_CLOSE, KIND_CIPHER), bytes)
+VECTOR = ListOf(RECORD, VECTOR_LIMIT, min_len=1)
+#: the message types only an offloading channel handles
+OFFLOAD_MTYPES = (MSG_BATCH, MSG_ACK, MSG_FETCH, MSG_BODY)
 
 
 def vector_digest(vector: List[Record]) -> bytes:
@@ -112,6 +117,14 @@ class AtomicChannel(Channel):
     """One party's endpoint of the atomic broadcast channel."""
 
     kind = "atomic"
+
+    schemas = {
+        MSG_QUEUE: (POS, VECTOR, int),  # offload: (POS, bytes, bytes), see __init__
+        MSG_BATCH: (POS, VECTOR),
+        MSG_ACK: (POS, bytes, bytes),
+        MSG_FETCH: (POS, NAT, bytes),
+        MSG_BODY: (POS, NAT, VECTOR),
+    }
 
     def __init__(
         self,
@@ -146,6 +159,14 @@ class AtomicChannel(Channel):
             raise ProtocolError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         self.pipeline_depth = pipeline_depth
         self.offload = bool(offload)
+        if self.offload:
+            self.schemas = {**self.schemas, MSG_QUEUE: (POS, bytes, bytes)}
+            entry: Any = (NAT, bytes, bytes)  # (signer, digest, certificate)
+        else:
+            self.schemas = {m: s for m, s in self.schemas.items() if m not in OFFLOAD_MTYPES}
+            entry = (NAT, VECTOR, int)  # (signer, vector, signature)
+        #: the shape of a proposed batch: one entry per chosen signer
+        self._batch_shape = ListOf(entry, self.batch_size, self.batch_size)
         self.order = order
         if resume_round is not None and resume_round < 1:
             raise ProtocolError(f"resume round must be >= 1, got {resume_round}")
@@ -165,12 +186,12 @@ class AtomicChannel(Channel):
         # channel re-enter here — own sends re-emit from the own queue,
         # foreign records rejoin the adoption pool (fairness carries over).
         for raw in resume_own_records or ():
-            record = self._check_record(tuple(raw))
-            if record is not None and (record[0], record[1]) not in self._delivered:
+            record = tuple(raw)
+            if conforms(RECORD, record) and (record[0], record[1]) not in self._delivered:
                 self._own_queue.append(record)
         for raw in resume_pending or ():
-            record = self._check_record(tuple(raw))
-            if record is not None and (record[0], record[1]) not in self._delivered:
+            record = tuple(raw)
+            if conforms(RECORD, record) and (record[0], record[1]) not in self._delivered:
                 self._pending.setdefault((record[0], record[1]), record)
         if self._own_queue or self._pending:
             # Carried-over records must re-enter agreement without waiting
@@ -342,44 +363,38 @@ class AtomicChannel(Channel):
             return
         if mtype == MSG_QUEUE:
             self._on_candidate(sender, payload)
-        elif self.offload:
-            if mtype == MSG_BATCH:
-                self._on_body(sender, payload)
-            elif mtype == MSG_ACK:
-                self._on_ack(sender, payload)
-            elif mtype == MSG_FETCH:
-                self._on_fetch(sender, payload)
-            elif mtype == MSG_BODY:
-                self._on_fetched_body(sender, payload)
+        elif mtype == MSG_BATCH:
+            self._on_body(sender, payload)
+        elif mtype == MSG_ACK:
+            self._on_ack(sender, payload)
+        elif mtype == MSG_FETCH:
+            self._on_fetch(sender, payload)
+        elif mtype == MSG_BODY:
+            self._on_fetched_body(sender, payload)
 
     def _on_candidate(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
         r, body, proof = payload
-        if not isinstance(r, int) or r < self.round or r in self._decided:
+        if r < self.round or r in self._decided:
             return  # stale or already agreed
         round_candidates = self._candidates.setdefault(r, {})
         if sender in round_candidates:
             return  # one candidate per signer per round
         if self.offload:
-            if not (isinstance(body, bytes) and isinstance(proof, bytes)):
-                return
             if not self.ctx.crypto.accel.sig_ok(
                 self._avail_scheme, avail_string(self.pid, r, sender, body), proof
             ):
                 return
             round_candidates[sender] = (body, proof)
         else:
-            vector = self._check_vector(body)
-            if vector is None or not isinstance(proof, int):
+            if not self._distinct(body):
                 return
-            digest = vector_digest(vector)
+            digest = vector_digest(body)
             if not self.ctx.crypto.verify_party(
                 sender, SIGN_DOMAIN, sign_string(self.pid, r, digest), proof
             ):
                 return
-            round_candidates[sender] = (vector, proof)
-            self._absorb(vector)
+            round_candidates[sender] = (body, proof)
+            self._absorb(body)
         self._pump()
 
     def _absorb(self, vector: List[Record]) -> None:
@@ -390,31 +405,10 @@ class AtomicChannel(Channel):
                 self._pending.setdefault(key, record)
 
     @staticmethod
-    def _check_record(record: Any) -> Optional[Record]:
-        if not (isinstance(record, tuple) and len(record) == 4):
-            return None
-        origin, seq, kind, data = record
-        if not (isinstance(origin, int) and isinstance(seq, int) and seq >= 0):
-            return None
-        if kind not in (KIND_APP, KIND_CLOSE, KIND_CIPHER) or not isinstance(data, bytes):
-            return None
-        return (origin, seq, kind, data)
-
-    @classmethod
-    def _check_vector(cls, vector: Any) -> Optional[List[Record]]:
-        """Shape-check a candidate vector: 1..VECTOR_LIMIT well-formed
-        records with distinct (origin, seq) keys."""
-        if not isinstance(vector, (list, tuple)) or not 1 <= len(vector) <= VECTOR_LIMIT:
-            return None
-        out: List[Record] = []
-        keys: Set[Tuple[int, int]] = set()
-        for record in vector:
-            record = cls._check_record(record)
-            if record is None or (record[0], record[1]) in keys:
-                return None
-            keys.add((record[0], record[1]))
-            out.append(record)
-        return out
+    def _distinct(vector: List[Record]) -> bool:
+        """Do the records of a (shape-checked) vector have distinct
+        (origin, seq) keys?"""
+        return len({(record[0], record[1]) for record in vector}) == len(vector)
 
     # -- the round's multi-valued agreement -----------------------------------------------------
 
@@ -508,40 +502,23 @@ class AtomicChannel(Channel):
             entries = decode(value)
         except EncodingError:
             return None
-        if not isinstance(entries, list) or len(entries) != self.batch_size:
+        if not conforms(self._batch_shape, entries):
             return None
         signers: Set[int] = set()
-        out: List[Tuple[int, Any, Any]] = []
-        for entry in entries:
-            if not (isinstance(entry, tuple) and len(entry) == 3):
+        for signer, body, proof in entries:
+            if signer in signers or signer >= self.ctx.n:
                 return None
-            signer, body, proof = entry
-            if (
-                not isinstance(signer, int)
-                or signer in signers
-                or not 0 <= signer < self.ctx.n
-            ):
-                return None
+            signers.add(signer)
             if self.offload:
-                if not (isinstance(body, bytes) and isinstance(proof, bytes)):
-                    return None
                 if not self.ctx.crypto.accel.sig_ok(
                     self._avail_scheme, avail_string(self.pid, r, signer, body), proof
                 ):
                     return None
-                out.append((signer, body, proof))
-            else:
-                vector = self._check_vector(body)
-                if vector is None:
-                    return None
-                if not isinstance(proof, int) or not self.ctx.crypto.verify_party(
-                    signer, SIGN_DOMAIN,
-                    sign_string(self.pid, r, vector_digest(vector)), proof,
-                ):
-                    return None
-                out.append((signer, vector, proof))
-            signers.add(signer)
-        return out
+            elif not self._distinct(body) or not self.ctx.crypto.verify_party(
+                signer, SIGN_DOMAIN, sign_string(self.pid, r, vector_digest(body)), proof
+            ):
+                return None
+        return entries
 
     # -- delivery ------------------------------------------------------------------------------------
 
@@ -702,13 +679,10 @@ class AtomicChannel(Channel):
     # -- offloaded bodies --------------------------------------------------------------
 
     def _on_body(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            return
-        r, body = payload
-        if not isinstance(r, int) or r < self.round:
+        r, vector = payload
+        if r < self.round:
             return  # rounds below the frontier have fully delivered
-        vector = self._check_vector(body)
-        if vector is None:
+        if not self._distinct(vector):
             return
         digest = vector_digest(vector)
         if not self._store_body(r, sender, digest, vector):
@@ -741,15 +715,7 @@ class AtomicChannel(Channel):
         return True
 
     def _on_ack(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
         r, digest, share = payload
-        if not (
-            isinstance(r, int)
-            and isinstance(digest, bytes)
-            and isinstance(share, bytes)
-        ):
-            return
         if r < self.round or r in self._cert_done:
             return
         if self._own_digest.get(r) != digest:
@@ -769,15 +735,7 @@ class AtomicChannel(Channel):
             self.send_all(MSG_QUEUE, (r, digest, cert))
 
     def _on_fetch(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
         r, signer, digest = payload
-        if not (
-            isinstance(r, int)
-            and isinstance(signer, int)
-            and isinstance(digest, bytes)
-        ):
-            return
         vector = self._bodies.get((r, signer, digest))
         if vector is None:
             return
@@ -790,13 +748,8 @@ class AtomicChannel(Channel):
         self.unicast(sender, MSG_BODY, (r, signer, vector))
 
     def _on_fetched_body(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
-        r, signer, body = payload
-        if not (isinstance(r, int) and isinstance(signer, int)) or r < self.round:
-            return
-        vector = self._check_vector(body)
-        if vector is None:
+        r, signer, vector = payload
+        if r < self.round or not self._distinct(vector):
             return
         # The digest authenticates the body regardless of who served it.
         self._store_body(r, signer, vector_digest(vector), vector)

@@ -54,10 +54,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.encoding import decode, encode
-from repro.common.errors import EncodingError, ProtocolError
+from repro.common.errors import EncodingError, InvalidShare, ProtocolError
 from repro.core.agreement.multivalued import ArrayAgreement
 from repro.core.channel.base import Channel
 from repro.core.protocol import Context
+from repro.core.schema import ANY, NAT, ListOf, Maybe, OneOf, conforms
 from repro.crypto.hashing import sha256
 from repro.crypto.threshold_sig import combine_optimistically
 
@@ -77,6 +78,10 @@ SIGN_DOMAIN = "sintra.opt-atomic"
 
 #: an application record: (origin, seq, kind, data, origin_signature)
 Entry = Tuple[int, int, int, bytes, int]
+ENTRY = (int, NAT, OneOf(KIND_APP, KIND_CLOSE), bytes, int)
+#: a wedge statement: (epoch, prefix, digest, commit_cert, signature); the
+#: certificate is ``None`` exactly for the empty prefix
+WEDGE = (NAT, NAT, bytes, Maybe(bytes), int)
 
 
 def entry_string(pid: str, origin: int, seq: int, kind: int, data: bytes) -> bytes:
@@ -128,6 +133,18 @@ class OptimisticAtomicChannel(Channel):
     """
 
     kind = "optimistic"
+
+    schemas = {
+        MSG_INITIATE: (NAT, ENTRY),  # (epoch, entry)
+        MSG_PROPOSE: (NAT, NAT, ListOf(ENTRY, min_len=1)),  # (epoch, slot, batch)
+        MSG_PREPARE: (NAT, NAT, bytes, bytes),  # (epoch, slot, digest, share)
+        MSG_COMMIT: (NAT, NAT, bytes, bytes),
+        MSG_COMPLAIN: NAT,  # epoch
+        MSG_WEDGE: WEDGE,
+        MSG_FETCH: (NAT, NAT),  # (epoch, slot)
+        # (epoch, slot, entries as lists, digest, commit_cert)
+        MSG_SLOT_DATA: (NAT, NAT, ListOf(list), bytes, bytes),
+    }
 
     def __init__(
         self,
@@ -277,26 +294,18 @@ class OptimisticAtomicChannel(Channel):
 
     # -- the optimistic phase ----------------------------------------------------------------------
 
-    def _check_entry(self, entry: Any) -> Optional[Entry]:
-        if not (isinstance(entry, tuple) and len(entry) == 5):
-            return None
+    def _signed(self, entry: Entry) -> bool:
+        """Does a (shape-checked) entry carry its origin's signature?"""
         origin, seq, kind, data, sig = entry
-        if not (isinstance(origin, int) and isinstance(seq, int) and seq >= 0):
-            return None
-        if kind not in (KIND_APP, KIND_CLOSE) or not isinstance(data, bytes):
-            return None
-        if not isinstance(sig, int) or not self.ctx.crypto.verify_party(
+        return self.ctx.crypto.verify_party(
             origin, SIGN_DOMAIN, entry_string(self.pid, origin, seq, kind, data), sig
-        ):
-            return None
-        return (origin, seq, kind, data, sig)
+        )
 
     def _on_initiate(self, sender: int, payload: Any) -> None:
         epoch, entry = payload
         if epoch != self.epoch or self._wedged:
             return
-        entry = self._check_entry(entry)
-        if entry is None or entry[0] != sender:
+        if entry[0] != sender or not self._signed(entry):
             return
         key = (entry[0], entry[1])
         if key in self._delivered:
@@ -331,22 +340,15 @@ class OptimisticAtomicChannel(Channel):
             self.send_all(MSG_PROPOSE, (self.epoch, s, batch))
 
     def _on_propose(self, sender: int, payload: Any) -> None:
-        epoch, s, batch = payload
+        epoch, s, entries = payload
         if epoch != self.epoch or sender != self.sequencer or self._wedged:
-            return
-        if not isinstance(s, int) or s < 0 or not isinstance(batch, list):
             return
         state = self._slot(s)
         if state.prepared or state.entries is not None:
             return  # at most one proposal per slot counts
-        entries: List[Entry] = []
-        for raw in batch:
-            entry = self._check_entry(raw)
-            if entry is None or (entry[0], entry[1]) in self._delivered:
+        for entry in entries:
+            if (entry[0], entry[1]) in self._delivered or not self._signed(entry):
                 return  # a slot with bad entries is ignored entirely
-            entries.append(entry)
-        if not entries:
-            return
         state.entries = entries
         state.digest = slot_digest(entries)
         state.prepared = True
@@ -365,8 +367,6 @@ class OptimisticAtomicChannel(Channel):
         epoch, s, digest, share = payload
         if epoch != self.epoch or self._wedged:
             return
-        if not (isinstance(s, int) and isinstance(digest, bytes) and isinstance(share, bytes)):
-            return
         state = self._slot(s)
         if state.digest is not None and digest != state.digest:
             return  # conflicts with the sequencer's proposal we saw
@@ -374,7 +374,7 @@ class OptimisticAtomicChannel(Channel):
         try:
             if scheme.share_index(share) != sender + 1:
                 return
-        except Exception:
+        except InvalidShare:
             return
         state.prepare_shares[sender + 1] = share
         self._try_prepare_cert(epoch, s, digest, state)
@@ -402,8 +402,6 @@ class OptimisticAtomicChannel(Channel):
         epoch, s, digest, share = payload
         if epoch != self.epoch:
             return
-        if not (isinstance(s, int) and isinstance(digest, bytes) and isinstance(share, bytes)):
-            return
         state = self._slot(s)
         if state.digest is not None and digest != state.digest:
             return
@@ -411,7 +409,7 @@ class OptimisticAtomicChannel(Channel):
         try:
             if scheme.share_index(share) != sender + 1:
                 return
-        except Exception:
+        except InvalidShare:
             return
         state.commit_shares[sender + 1] = share
         self._maybe_commit_cert(epoch, s, state)
@@ -527,17 +525,16 @@ class OptimisticAtomicChannel(Channel):
         self.send_all(MSG_WEDGE, (self.epoch, prefix, digest, cert, sig))
 
     def _valid_wedge(self, party: int, payload: Any) -> Optional[tuple]:
+        """Check a (shape-checked) wedge statement of ``party``."""
         epoch, prefix, digest, cert, sig = payload
         if epoch != self.epoch:
             return None
-        if not (isinstance(prefix, int) and prefix >= 0 and isinstance(digest, bytes)):
-            return None
-        if not isinstance(sig, int) or not self.ctx.crypto.verify_party(
+        if not self.ctx.crypto.verify_party(
             party, SIGN_DOMAIN, wedge_string(self.pid, epoch, prefix, digest), sig
         ):
             return None
         if prefix > 0:
-            if not isinstance(cert, bytes) or not self.ctx.crypto.accel.sig_ok(
+            if cert is None or not self.ctx.crypto.accel.sig_ok(
                 self.ctx.crypto.aba_scheme,
                 commit_string(self.pid, epoch, prefix - 1, digest),
                 cert,
@@ -579,17 +576,16 @@ class OptimisticAtomicChannel(Channel):
         except EncodingError:
             return None
         quorum = self.ctx.n - self.ctx.t
-        if not isinstance(batch, list) or len(batch) != quorum:
+        # one [party, prefix, digest, cert, sig] row per wedge
+        if not conforms(ListOf(ListOf(ANY, 5, 5), quorum, quorum), batch):
             return None
         seen: Set[int] = set()
         cut = 0
-        for raw in batch:
-            if not (isinstance(raw, list) and len(raw) == 5):
+        for party, *fields in batch:
+            statement = (epoch, *fields)
+            if not isinstance(party, int) or party in seen or not conforms(WEDGE, statement):
                 return None
-            party = raw[0]
-            if not isinstance(party, int) or party in seen:
-                return None
-            wedge = self._valid_wedge(party, (epoch, *raw[1:]))
+            wedge = self._valid_wedge(party, statement)
             if wedge is None:
                 return None
             seen.add(party)
@@ -627,8 +623,6 @@ class OptimisticAtomicChannel(Channel):
 
     def _on_fetch(self, sender: int, payload: Any) -> None:
         epoch, s = payload
-        if not isinstance(epoch, int) or not isinstance(s, int):
-            return
         # Serve fetches for the current epoch AND recently finished ones:
         # a laggard still recovering epoch e must be able to fetch from
         # parties that already advanced past it.
@@ -646,22 +640,15 @@ class OptimisticAtomicChannel(Channel):
 
     def _on_slot_data(self, sender: int, payload: Any) -> None:
         epoch, s, raw_entries, digest, cert = payload
-        if epoch != self.epoch or self._cut is None or not isinstance(s, int):
-            return
-        if not (isinstance(raw_entries, list) and isinstance(digest, bytes)
-                and isinstance(cert, bytes)):
+        if epoch != self.epoch or self._cut is None:
             return
         state = self._slot(s)
         if state.commit_cert is not None and state.entries is not None:
             return
-        entries: List[Entry] = []
-        for raw in raw_entries:
-            if not isinstance(raw, list):
+        entries = [tuple(raw) for raw in raw_entries]
+        for entry in entries:
+            if not conforms(ENTRY, entry) or not self._signed(entry):
                 return
-            entry = self._check_entry(tuple(raw))
-            if entry is None:
-                return
-            entries.append(entry)
         if slot_digest(entries) != digest:
             return
         if not self.ctx.crypto.accel.sig_ok(

@@ -30,6 +30,7 @@ from repro.common.encoding import encode
 from repro.common.errors import InvalidCiphertext, ProtocolError
 from repro.core.channel.atomic import KIND_CIPHER, AtomicChannel
 from repro.core.protocol import Context
+from repro.core.schema import NAT
 from repro.crypto.threshold_enc import Ciphertext, TDH2Scheme
 
 MSG_DEC_SHARE = "dec"
@@ -39,6 +40,8 @@ class SecureAtomicChannel(AtomicChannel):
     """One party's endpoint of the secure causal atomic broadcast channel."""
 
     kind = "secure"
+
+    schemas = {**AtomicChannel.schemas, MSG_DEC_SHARE: (NAT, bytes)}  # (index, share)
 
     def __init__(self, ctx: Context, pid: str, **kwargs: Any):
         super().__init__(ctx, pid, **kwargs)
@@ -150,8 +153,6 @@ class SecureAtomicChannel(AtomicChannel):
             if self.halted:
                 return
             index, share = payload
-            if not (isinstance(index, int) and index >= 0 and isinstance(share, bytes)):
-                return
             self._dec_shares.setdefault(index, {})[sender + 1] = share
             self._consume_shares(index)
             return

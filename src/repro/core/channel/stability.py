@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.channel.consistent_channel import ConsistentChannel
 from repro.core.protocol import Context
+from repro.core.schema import NAT, ListOf
 
 MSG_ACK = "stab-ack"
 
@@ -38,8 +39,13 @@ class StabilizedConsistentChannel(ConsistentChannel):
 
     kind = "stab-consistent"
 
+    #: a cumulative acknowledgment vector holds one count per party; the
+    #: instance pins its length to ``n``
+    schemas = {MSG_ACK: ListOf(NAT)}
+
     def __init__(self, ctx: Context, pid: str, max_pending: Optional[int] = None):
         super().__init__(ctx, pid, max_pending=max_pending)
+        self.schemas = {MSG_ACK: ListOf(NAT, ctx.n, ctx.n)}
         #: the stable (agreed-delivered) output stream
         self.stable_outputs = ctx.new_queue()
         #: (sender, seq) -> payload, held until stability
@@ -72,14 +78,7 @@ class StabilizedConsistentChannel(ConsistentChannel):
     # -- acknowledgment handling ------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if mtype != MSG_ACK:
-            super().on_message(sender, mtype, payload)
-            return
-        if self._terminated:
-            return
-        if not isinstance(payload, list) or len(payload) != self.ctx.n:
-            return
-        if not all(isinstance(v, int) and v >= 0 for v in payload):
+        if mtype != MSG_ACK or self._terminated:
             return
         if self.obs.enabled:
             self.obs.count("stab.acks")

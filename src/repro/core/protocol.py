@@ -21,7 +21,8 @@ import abc
 import logging
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ProtocolError, ReproError
+from repro.common.errors import CryptoError, EncodingError, ProtocolError
+from repro.core.schema import Shape, conforms
 from repro.crypto.dealer import PartyCrypto
 from repro.obs.recorder import NULL as NULL_RECORDER
 from repro.obs.recorder import Recorder
@@ -129,9 +130,12 @@ class Router:
     unknown pids are buffered and replayed on registration.  Messages for
     pids that have already terminated are dropped.
 
-    Exceptions raised by handlers on adversarial input are contained here
-    (a Byzantine message must never crash an honest server) and recorded
-    in :attr:`errors` so honest-run tests can assert none occurred.
+    A message whose type or payload shape its protocol does not declare
+    (:attr:`Protocol.schemas`) is not dispatched but recorded in
+    :attr:`errors` against its sender, as is a handler's verification
+    failure (``CryptoError``, ``EncodingError``): a Byzantine message must
+    never crash an honest server, and honest-run tests assert that none
+    occurred.  Any other handler exception is a bug and propagates.
     """
 
     def __init__(self, buffer_limit: int = 100_000, recorder: Optional[Recorder] = None):
@@ -189,14 +193,19 @@ class Router:
         self._buffered_count -= len(dropped)
 
     def forget(self, pid: str) -> None:
-        """Clear a tombstone so a successor instance may register the id.
+        """Clear the tombstones of ``pid`` and of every sub-protocol id
+        beneath it (``pid/...``) so successor instances may register them.
 
-        Membership handover needs this: the state-transfer exchange id is
+        A replica process simulated on the same router as its retired
+        predecessor needs this: the state-transfer exchange id is
         deliberately epoch-less (a newcomer must pull checkpoints from any
-        epoch), so when a replaced replica's process is simulated on the
-        same router, the successor re-registers the retired id.  Messages
-        arriving in the gap buffer as usual until the successor appears."""
-        self._tombstones.discard(pid)
+        epoch), and a restart without an epoch change reopens the very
+        channel id, agreement rounds included.  Messages arriving in the
+        gap buffer as usual until the successor appears."""
+        prefix = pid + "/"
+        self._tombstones = {
+            p for p in self._tombstones if p != pid and not p.startswith(prefix)
+        }
 
     def dispatch(self, sender: int, pid: str, mtype: str, payload: Any) -> None:
         if pid not in self._replaying:
@@ -223,10 +232,17 @@ class Router:
             self.obs.count("router.dispatched")
         for obs in self.observers:
             obs(sender, protocol.pid, mtype, payload)
+        shape = protocol.schemas.get(mtype)
+        if shape is None or not conforms(shape, payload):
+            self.errors.append((protocol.pid, sender, ProtocolError(f"malformed {mtype}")))
+            if self.obs.enabled:
+                self.obs.count("router.rejected")
+                self.obs.count(f"router.rejected.{mtype}")
+            return
         try:
             protocol.on_message(sender, mtype, payload)
-        except (ReproError, TypeError, ValueError, KeyError, IndexError) as exc:
-            # Malformed or malicious input: contain, record, continue.
+        except (CryptoError, EncodingError) as exc:
+            # A verification failure on authenticated input: record, continue.
             self.errors.append((protocol.pid, sender, exc))
             if self.obs.enabled:
                 self.obs.count("router.handler_errors")
@@ -242,6 +258,10 @@ class Router:
 
 class Protocol:
     """Base class of every SINTRA protocol (paper Fig. 2)."""
+
+    #: the payload shape (:mod:`repro.core.schema`) of each message type
+    #: the protocol handles; the router dispatches nothing else
+    schemas: Dict[str, Shape] = {}
 
     def __init__(self, ctx: Context, pid: str):
         self.ctx = ctx

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import ConfigError, EncodingError
+from repro.core.schema import Maybe, OneOf, conforms
 
 CHANGE_REFRESH = "refresh"
 CHANGE_REPLACE = "replace"
@@ -34,6 +35,8 @@ CHANGE_JOIN = "join"
 _CHANGE_KINDS = (CHANGE_REFRESH, CHANGE_REPLACE, CHANGE_RETIRE, CHANGE_JOIN)
 
 _COMMAND_TAG = "sintra-reconfig"
+#: (tag, epoch, kind, slot, member); a refresh names no slot or member
+_COMMAND = (OneOf(_COMMAND_TAG), int, str, Maybe(int), Maybe(str))
 
 
 @dataclass(frozen=True)
@@ -150,19 +153,9 @@ def parse_reconfig_command(payload: bytes):
         value = decode(payload)
     except EncodingError:
         return None
-    if (
-        not isinstance(value, (tuple, list))
-        or len(value) != 5
-        or value[0] != _COMMAND_TAG
-    ):
+    if not conforms(_COMMAND, value):
         return None
     _tag, epoch, kind, slot, member = value
-    if not isinstance(epoch, int) or not isinstance(kind, str):
-        return None
-    if slot is not None and not isinstance(slot, int):
-        return None
-    if member is not None and not isinstance(member, str):
-        return None
     try:
         change = MembershipChange(kind=kind, slot=slot, member=member)
     except ConfigError:

@@ -26,6 +26,7 @@ from typing import List, Optional, Set, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ReproError
+from repro.core.schema import NAT, POS, ListOf, Maybe, conforms
 from repro.crypto.threshold_sig import MultiSignatureScheme, ThresholdSigner
 
 CHECKPOINT_DOMAIN = "sintra.recovery.checkpoint"
@@ -61,6 +62,11 @@ def checkpoint_signer(
 
 
 # -- the checkpoint package ---------------------------------------------------------
+
+#: (snapshot, delivered (origin, seq) keys, close origins, next round)
+PACKAGE = (bytes, ListOf((int, NAT)), ListOf(int), POS)
+#: a membership-aware package adds (epoch, roster)
+EPOCH_PACKAGE = (*PACKAGE, NAT, ListOf(Maybe(str)))
 
 
 def make_package(
@@ -109,40 +115,12 @@ def parse_package_full(
         parsed = decode(package)
     except EncodingError as exc:
         raise CheckpointError("undecodable checkpoint package") from exc
-    if not (isinstance(parsed, tuple) and len(parsed) in (4, 6)):
-        raise CheckpointError("checkpoint package must be a 4- or 6-tuple")
-    snapshot, delivered, closes, base_round = parsed[:4]
-    if not isinstance(snapshot, bytes):
-        raise CheckpointError("package snapshot must be bytes")
-    if not isinstance(delivered, list) or not isinstance(closes, list):
-        raise CheckpointError("package bookkeeping must be lists")
-    keys: List[Tuple[int, int]] = []
-    for entry in delivered:
-        if not (isinstance(entry, tuple) and len(entry) == 2
-                and isinstance(entry[0], int) and isinstance(entry[1], int)
-                and entry[1] >= 0):
-            raise CheckpointError("package delivered key malformed")
-        keys.append((entry[0], entry[1]))
-    origins: Set[int] = set()
-    for origin in closes:
-        if not isinstance(origin, int):
-            raise CheckpointError("package close origin malformed")
-        origins.add(origin)
-    if not isinstance(base_round, int) or base_round < 1:
-        raise CheckpointError("package base round malformed")
-    epoch = 0
-    roster: Optional[List[Optional[str]]] = None
-    if len(parsed) == 6:
-        epoch, raw_roster = parsed[4], parsed[5]
-        if not isinstance(epoch, int) or epoch < 0:
-            raise CheckpointError("package epoch malformed")
-        if not isinstance(raw_roster, list):
-            raise CheckpointError("package roster must be a list")
-        for member in raw_roster:
-            if member is not None and not isinstance(member, str):
-                raise CheckpointError("package roster member malformed")
-        roster = list(raw_roster)
-    return snapshot, keys, origins, base_round, epoch, roster
+    if conforms(PACKAGE, parsed):
+        parsed += (0, None)
+    elif not conforms(EPOCH_PACKAGE, parsed):
+        raise CheckpointError("malformed checkpoint package")
+    snapshot, delivered, closes, base_round, epoch, roster = parsed
+    return snapshot, delivered, set(closes), base_round, epoch, roster
 
 
 def parse_package(
@@ -196,10 +174,7 @@ class CheckpointStore:
             parsed = decode(blob[len(self._MAGIC):])
         except EncodingError:
             return
-        if not (isinstance(parsed, tuple) and len(parsed) == 3
-                and isinstance(parsed[0], int)
-                and isinstance(parsed[1], bytes)
-                and isinstance(parsed[2], bytes)):
+        if not conforms((int, bytes, bytes), parsed):  # (seq, package, signature)
             return
         self.latest = Checkpoint(seq=parsed[0], package=parsed[1], signature=parsed[2])
 

@@ -43,6 +43,7 @@ from repro.common.errors import ReproError
 from repro.core.channel.atomic import KIND_APP, KIND_CIPHER, KIND_CLOSE
 from repro.core.party import Party
 from repro.core.protocol import Protocol
+from repro.core.schema import NAT, POS, ListOf, OneOf
 from repro.crypto.threshold_sig import combine_optimistically
 from repro.recovery.checkpoint import (
     Checkpoint,
@@ -59,6 +60,9 @@ from repro.recovery.wal import FSYNC_BATCH, DeliveryLog, SlotTuple
 MSG_SHARE = "ckpt-share"
 MSG_PULL = "pull"
 MSG_STATE = "state"
+
+#: a log-tail slot: (index, origin, origin_seq, kind, data, round)
+SLOT = (int, int, NAT, OneOf(KIND_APP, KIND_CLOSE, KIND_CIPHER), bytes, POS)
 
 #: at most this many not-yet-reached checkpoint sequences keep buffered
 #: foreign shares (a Byzantine flooder cannot grow the buffer unboundedly)
@@ -77,6 +81,13 @@ class CheckpointExchange(Protocol):
     in particular, shares sent while a peer is down are buffered/retried
     by the transport like any other protocol message.
     """
+
+    schemas = {
+        MSG_SHARE: (POS, bytes),  # (seq, share)
+        MSG_PULL: (POS,),  # (request id,)
+        # (request id, seq, certificate, package, log tail)
+        MSG_STATE: (POS, NAT, bytes, bytes, ListOf(SLOT)),
+    }
 
     def __init__(self, ctx, pid: str, service: "RecoverableService"):
         super().__init__(ctx, pid)
@@ -253,10 +264,12 @@ class RecoverableService(ReplicatedService):
         protocol ids, so a successor process for the same slot (membership
         replacement, or an in-simulation restart) can construct a fresh
         service without id collisions."""
+        router = self.party.ctx.router
         if self.channel is not None:
             self.channel.abort()
+            router.forget(self.channel.pid)
         self.exchange.halt()
-        self.party.ctx.router.forget(self.exchange.pid)
+        router.forget(self.exchange.pid)
         self.wal.close()
 
     # -- inspection ----------------------------------------------------------------
@@ -366,11 +379,7 @@ class RecoverableService(ReplicatedService):
         return make_package(self.state.snapshot(), delivered, sorted(closes), base_round)
 
     def _on_ckpt_share(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            return
         seq, share = payload
-        if not (isinstance(seq, int) and seq > 0 and isinstance(share, bytes)):
-            return
         if seq <= self.last_certified:
             return
         if seq in self._pending:
@@ -437,9 +446,6 @@ class RecoverableService(ReplicatedService):
     # -- state transfer: serving side ----------------------------------------------
 
     def _on_pull(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 1
-                and isinstance(payload[0], int)):
-            return
         if self.channel is None:
             return  # recovering ourselves: nothing trustworthy to serve
         req_id = payload[0]
@@ -484,8 +490,6 @@ class RecoverableService(ReplicatedService):
     def _on_state(self, sender: int, payload: Any) -> None:
         if self.channel is not None or self._recover_future is None:
             return
-        if not (isinstance(payload, tuple) and len(payload) == 5):
-            return
         req_id, seq, sig, package, tail = payload
         if req_id != self._pull_req:
             return  # response to a superseded pull
@@ -507,24 +511,9 @@ class RecoverableService(ReplicatedService):
             self._adopt(response)
 
     def _validate_response(
-        self, seq: Any, sig: Any, package: Any, tail: Any
+        self, seq: int, sig: bytes, package: bytes, tail: List[SlotTuple]
     ) -> Dict[str, Any]:
-        if not (isinstance(seq, int) and seq >= 0 and isinstance(sig, bytes)
-                and isinstance(package, bytes) and isinstance(tail, list)):
-            raise CheckpointError("transfer response malformed")
-        slots: List[SlotTuple] = []
-        for entry in tail:
-            if not (isinstance(entry, tuple) and len(entry) == 6):
-                raise CheckpointError("transfer tail entry malformed")
-            index, origin, oseq, kind, data, round_ = entry
-            if not (isinstance(index, int) and isinstance(origin, int)
-                    and isinstance(oseq, int) and oseq >= 0
-                    and kind in (KIND_APP, KIND_CLOSE, KIND_CIPHER)
-                    and isinstance(data, bytes)
-                    and isinstance(round_, int) and round_ >= 1):
-                raise CheckpointError("transfer tail entry malformed")
-            slots.append((index, origin, oseq, kind, data, round_))
-        slots.sort(key=lambda s: s[0])
+        slots = sorted(tail, key=lambda s: s[0])
         if [s[0] for s in slots] != list(range(seq, seq + len(slots))):
             raise CheckpointError("transfer tail is not contiguous from seq")
         if seq > 0:

@@ -3,7 +3,8 @@
 A corrupted party is modelled as a raw :class:`Protocol` registered under
 the attacked instance's pid that crafts arbitrary messages of the
 protocol's vocabulary — exactly the power of the Byzantine adversary (it
-holds its own keys, but not other parties' keys).
+holds its own keys, but not other parties' keys).  Each accepts any
+payload of the vocabulary it receives, so its own router records nothing.
 """
 
 from __future__ import annotations
@@ -11,10 +12,16 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.protocol import Protocol
+from repro.core.schema import ANY
+
+#: the message types of reliable and consistent broadcast
+BROADCAST_MTYPES = dict.fromkeys(("send", "echo", "ready", "final"), ANY)
 
 
 class SilentParty(Protocol):
-    """Participates in nothing; swallows all messages."""
+    """Participates in nothing; swallows all broadcast messages."""
+
+    schemas = BROADCAST_MTYPES
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
         pass
@@ -26,6 +33,8 @@ class EquivocatingBroadcastSender(Protocol):
     Used against reliable broadcast (pid must be ``basepid.sender``); also
     echoes both values to maximize confusion.
     """
+
+    schemas = BROADCAST_MTYPES
 
     def __init__(self, ctx, pid, value_a: bytes, value_b: bytes, split: int):
         super().__init__(ctx, pid)
@@ -52,6 +61,7 @@ class GarbageSpammer(Protocol):
     def __init__(self, ctx, pid, mtypes):
         super().__init__(ctx, pid)
         self.mtypes = mtypes
+        self.schemas = dict.fromkeys(mtypes, ANY)
 
     def start(self) -> None:
         def go():
@@ -68,6 +78,8 @@ class GarbageSpammer(Protocol):
 
 class BadShareEchoer(Protocol):
     """Corrupted CBC participant: echoes an invalid signature share."""
+
+    schemas = BROADCAST_MTYPES
 
     def __init__(self, ctx, pid, target_sender: int):
         super().__init__(ctx, pid)

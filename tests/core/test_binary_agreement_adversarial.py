@@ -184,11 +184,17 @@ def test_decide_message_with_bogus_certificate_rejected(setup):
     assert not aba.decided.done
 
 
-def test_garbage_payload_shapes_raise_contained_errors(setup):
-    """Malformed tuples raise the exceptions the router contains."""
+def test_garbage_payload_shapes_raise_contained_errors(setup, monkeypatch):
+    """Malformed tuples are rejected by the router before any handler runs."""
     group, ctx, aba = setup
     aba.propose(0)
-    for mtype in (MSG_PREVOTE, MSG_MAINVOTE, MSG_COIN, MSG_DECIDE):
-        with pytest.raises((ValueError, TypeError)):
-            aba.on_message(1, mtype, ("bad",))
+    reached = []
+    monkeypatch.setattr(aba, "on_message", lambda *message: reached.append(message))
+    mtypes = (MSG_PREVOTE, MSG_MAINVOTE, MSG_COIN, MSG_DECIDE)
+    for mtype in mtypes:
+        ctx.router.dispatch(1, aba.pid, mtype, ("bad",))
+    assert reached == []
+    assert [(pid, sender, str(exc)) for pid, sender, exc in ctx.router.errors] == [
+        (aba.pid, 1, f"malformed {mtype}") for mtype in mtypes
+    ]
     assert not aba.decided.done

@@ -91,6 +91,8 @@ def test_forged_final_rejected(group4):
     from repro.core.protocol import Protocol
 
     class ForgedFinal(Protocol):
+        schemas = ConsistentBroadcast.schemas
+
         def start(self):
             self.ctx.api(
                 lambda: self.send_all("final", (b"forged", encode([(1, 12345)])))

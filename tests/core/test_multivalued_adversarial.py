@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.agreement import ArrayAgreement
+from repro.core.agreement.multivalued import MSG_ORDER_COIN, MSG_VOTE, ORDER_COIN
 from repro.core.channel import SecureAtomicChannel
 from repro.core.protocol import Protocol
 from repro.testing import (
@@ -22,7 +23,7 @@ from repro.testing import (
     run,
 )
 
-from tests.helpers import first_case, sim_runtime
+from tests.helpers import MockContext, first_case, sim_runtime
 
 
 class EquivocatingProposer(ArrayAgreement):
@@ -71,6 +72,8 @@ def test_bogus_decryption_shares_stay_green(group4):
     class ShareForger(Protocol):
         """Answers every queue broadcast with a burst of forged shares."""
 
+        schemas = SecureAtomicChannel.schemas
+
         def on_message(self, sender, mtype, payload):
             if mtype == "queue":
                 for index in range(6):
@@ -112,3 +115,21 @@ def test_t_crash_run_through_harness(scenario, group4):
     assert [d.kind for d in result.directives] == ["crash"]
     assert result.ok, result.error
     assert result.checks_run > 0
+
+
+def test_malformed_early_vote_cannot_drop_buffered_votes(group4):
+    """Under the coin-selected order, votes arriving before the ordering
+    coin are buffered.  A malformed one stops at the router, so replaying
+    the buffer once the coin assembles counts the honest vote beside it
+    and blames nobody else."""
+    ctx = MockContext(group4, node_id=0)
+    mvba = ArrayAgreement(ctx, "ocv", order=ORDER_COIN)
+    router = ctx.router
+    router.dispatch(3, mvba.pid, MSG_VOTE, True)
+    router.dispatch(1, mvba.pid, MSG_VOTE, (0, False, None))
+    for j in range(group4.t + 1):
+        share = group4.party(j + 1).coin_holder.release(mvba._order_coin_name())
+        router.dispatch(j + 1, mvba.pid, MSG_ORDER_COIN, share)
+    assert mvba.order is not None
+    assert mvba._votes[0] == {1: False}
+    assert [(pid, sender) for pid, sender, _ in router.errors] == [(mvba.pid, 3)]

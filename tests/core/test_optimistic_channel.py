@@ -200,6 +200,8 @@ def test_equivocating_sequencer_cannot_split(group4):
     class EquivocatingSequencer(Protocol):
         """Party 0: sequencer of epoch 0, equivocating on slot 0."""
 
+        schemas = OptimisticAtomicChannel.schemas
+
         def start(self):
             def go():
                 crypto = self.ctx.crypto

@@ -36,6 +36,8 @@ def test_forged_decryption_shares_tolerated(group4):
     class ShareForger(Protocol):
         """Party 3: spams bogus decryption shares for every index."""
 
+        schemas = SecureAtomicChannel.schemas
+
         def on_message(self, sender, mtype, payload):
             if mtype == "queue":  # piggyback on channel traffic to time spam
                 for index in range(4):

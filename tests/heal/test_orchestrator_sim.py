@@ -10,11 +10,15 @@ Covers the tentpole acceptance criteria:
 * an onboarding that times out mid-transfer rolls back and shuts the
   half-born successor down;
 * the proactive refresh cadence fires with zero suspicion;
+* a restart in place reopens the retired channel id cleanly, so the
+  ``silence`` cases heal without blaming an honest replica;
 * every step shows up as ``heal.*`` counters in an exported BENCH record.
 """
 
 import pytest
 
+from repro.common.rng import parse_seed
+from repro.heal import scenario as scenario_mod
 from repro.heal.evidence import EV_EQUIVOCATION, Evidence, SuspicionScorer
 from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
@@ -23,9 +27,9 @@ from repro.membership.epoch import EpochKeychain
 from repro.membership.service import ReconfigurableService
 from repro.obs.export import make_record
 from repro.obs.recorder import MemoryRecorder
-from repro.testing.case import Case
+from repro.testing.case import Case, case_seed
 
-from tests.helpers import sim_runtime
+from tests.helpers import record_runtimes, sim_runtime
 
 pytestmark = pytest.mark.heal
 
@@ -64,6 +68,29 @@ def test_closed_loop_doublevote_pinned_case(tmp_path):
     assert counters["heal.onboarding"] >= 1
     assert counters["heal.replaced"] >= 1
     assert "heal.replace.e2e" in record["phases"]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_silence_restart_reopens_the_retired_channel(tmp_path, monkeypatch, index):
+    """The ``--seed 0xS1NTRA`` silence cases first restart the victim in
+    place: no epoch change, so its successor process reopens the very
+    channel id the fenced predecessor retired on the same router.  That
+    must succeed and record no error against the honest peers serving
+    the state transfer."""
+    runtimes = record_runtimes(monkeypatch, scenario_mod)
+    template = Case("heal", "heal", "silence")
+    case = Case("heal", "heal", "silence",
+                seed=case_seed(template, parse_seed("0xS1NTRA"), index))
+    obs = MemoryRecorder()
+    result = run_heal_case(case, str(tmp_path), recorder=obs)
+    assert result.ok, result.repro_line()
+    flags = result.details
+    assert flags["detected"] and flags["replaced"]
+    assert flags["digests_agree"] and flags["stale_share_rejected"]
+    assert "restarted" in [h["outcome"] for h in result.dump["heals"]]
+    (runtime,) = runtimes
+    assert runtime.router_errors() == []
+    assert obs.counters.get("heal.evidence.bad-cert", 0) == 0
 
 
 class _Harness:

@@ -114,6 +114,19 @@ def run_and_get(rt, futures, limit=600.0):
     return rt.run_all(list(futures), limit=limit)
 
 
+def record_runtimes(monkeypatch, module) -> List[SimRuntime]:
+    """Collect every ``SimRuntime`` that ``module`` builds from now on."""
+    runtimes: List[SimRuntime] = []
+
+    class Recording(SimRuntime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runtimes.append(self)
+
+    monkeypatch.setattr(module, "SimRuntime", Recording)
+    return runtimes
+
+
 def no_errors(rt):
     """Assert no handler raised during an honest run."""
     errors = rt.router_errors()

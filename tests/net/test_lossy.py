@@ -84,6 +84,8 @@ def test_fifo_preserved_over_reordering_channel():
     rt = _runtime(loss=0.2, seed=9)
 
     class Collector(Protocol):
+        schemas = {"m": int}
+
         def __init__(self, ctx):
             super().__init__(ctx, "fifo")
             self.seen = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.protocol import Protocol
+from repro.core.schema import ANY
 from repro.net.faults import CrashFault, FaultPlan, SlowLinkAdversary
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
@@ -13,6 +14,8 @@ from tests.helpers import no_errors
 
 class Echo(Protocol):
     """Replies 'pong' to every 'ping'; records all receptions."""
+
+    schemas = {"ping": ANY, "pong": ANY}
 
     def __init__(self, ctx, pid="echo"):
         super().__init__(ctx, pid)

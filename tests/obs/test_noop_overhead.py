@@ -7,8 +7,13 @@ ever be invoked.  ``RaisingRecorder`` turns any violation into a loud
 test failure on a real protocol run.
 """
 
+from repro.core.agreement.binary import MSG_COIN, BinaryAgreement
+from repro.core.protocol import Router
 from repro.experiments import LAN_SETUP, run_channel_experiment
 from repro.obs.recorder import Recorder
+
+from tests.conftest import cached_group
+from tests.helpers import MockContext
 
 
 class RaisingRecorder(Recorder):
@@ -47,3 +52,17 @@ def test_disabled_recorder_never_invoked_on_secure_channel():
         recorder=RaisingRecorder(),
     )
     assert result.count == 6
+
+
+def test_disabled_recorder_never_invoked_on_router_rejection():
+    # A malformed message stops at the router's schema check and is
+    # recorded, without touching the disabled recorder.
+    router = Router(recorder=RaisingRecorder())
+    ctx = MockContext(cached_group())
+    ctx.router = router
+    agreement = BinaryAgreement(ctx, "noop-reject")
+    router.dispatch(1, agreement.pid, MSG_COIN, "not a coin share")
+    router.dispatch(1, agreement.pid, "undeclared", None)
+    assert [str(exc) for _pid, _sender, exc in router.errors] == [
+        f"malformed {MSG_COIN}", "malformed undeclared",
+    ]
